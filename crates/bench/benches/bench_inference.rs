@@ -142,8 +142,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
 }
 
 /// The value-of-information decision loop of sequential adaptive
-/// diagnosis (and the repaired `rank_probes`): dozens of hypothetical
-/// propagations per decision, all through the compiled tree and reused
+/// diagnosis, over tests and over every latent as a probe: dozens of
+/// hypothetical propagations per decision, all through the compiled tree and reused
 /// workspaces. `per_decision_scoring` is the steady-state number the
 /// serving loop pays between measurements; `closed_loop_d1_adaptive` is a
 /// whole case-study run (diagnose + score + apply until isolation).

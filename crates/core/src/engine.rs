@@ -6,7 +6,7 @@ use crate::builder::DiagnosticModel;
 use crate::deduce::{Candidate, DeductionPolicy, HealthClass};
 use crate::error::Result;
 use crate::session::CompiledModel;
-use abbd_bbn::{Evidence, JunctionTree, PropagationWorkspace};
+use abbd_bbn::{Evidence, PropagationWorkspace};
 use abbd_dlog2bbn::NamedCase;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -278,13 +278,6 @@ impl DiagnosticEngine {
     /// The active deduction policy.
     pub fn policy(&self) -> &DeductionPolicy {
         self.compiled.policy()
-    }
-
-    /// The compiled junction tree the engine propagates through. Crate
-    /// modules (probe ranking, sequential diagnosis) reuse it instead of
-    /// recompiling per call.
-    pub(crate) fn jt(&self) -> &JunctionTree {
-        self.compiled.jt()
     }
 
     /// The model's baseline ("Init. prob.%" in paper Table VII): state

@@ -1,10 +1,10 @@
 //! Shared test fixtures (hidden from the public API surface).
 //!
-//! The sequential-diagnosis unit tests and the workspace-level
-//! zero-allocation harness (`tests/zero_alloc.rs` at the repo root) must
-//! exercise the *same* model — two drifting copies of the fixture would
-//! let their "which output is most informative" assertions silently
-//! disagree — so the model lives here once.
+//! The session unit tests and the workspace-level zero-allocation
+//! harness (`tests/zero_alloc.rs` at the repo root) must exercise the
+//! *same* model — two drifting copies of the fixture would let their
+//! "which output is most informative" assertions silently disagree — so
+//! the model lives here once.
 
 use crate::builder::{ExpertKnowledge, ModelBuilder};
 use crate::engine::DiagnosticEngine;

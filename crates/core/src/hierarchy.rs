@@ -69,7 +69,7 @@ use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The default block fault-mass threshold that triggers descent from the
 /// abstract root into a block's compiled sub-model.
@@ -121,6 +121,16 @@ struct BlockEntry {
     /// is held across the compile, so concurrent descents compile at
     /// most once per block.
     child: Mutex<Option<Arc<CompiledModel>>>,
+}
+
+impl BlockEntry {
+    /// Locks the child slot, recovering it if a panic poisoned the lock.
+    /// The slot is written only after a successful compile, so it always
+    /// holds `None` or a valid model: a panicking compile leaves `None`
+    /// and the next descent simply compiles again.
+    fn child_slot(&self) -> MutexGuard<'_, Option<Arc<CompiledModel>>> {
+        self.child.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A compiled abstraction tree over one fitted board model: the abstract
@@ -251,7 +261,7 @@ impl HierarchicalModel {
             .blocks
             .get(block)
             .ok_or_else(|| Error::Hierarchy(format!("block index {block} out of range")))?;
-        let mut slot = entry.child.lock().expect("child slot lock");
+        let mut slot = entry.child_slot();
         if let Some(compiled) = slot.as_ref() {
             return Ok(Arc::clone(compiled));
         }
@@ -278,7 +288,7 @@ impl HierarchicalModel {
     pub fn child_compiled(&self, block: usize) -> bool {
         self.blocks
             .get(block)
-            .is_some_and(|b| b.child.lock().expect("child slot lock").is_some())
+            .is_some_and(|b| b.child_slot().is_some())
     }
 
     /// Extracts and compiles one block's sub-model (the lock in
@@ -1213,5 +1223,49 @@ fn filter_request(request: &SessionRequest, model: &DiagnosticModel) -> SessionR
         deduction: request.deduction,
         delta: request.delta,
         timings: request.timings.clone(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fixtures::toy_sequential_engine;
+
+    /// The toy fixture split at its control pin: `core` holds the bias
+    /// and load chain, `side` the aux block.
+    fn toy_hierarchy() -> HierarchicalModel {
+        HierarchicalModel::build(
+            toy_sequential_engine().model().clone(),
+            ["pin"],
+            vec![
+                BlockSpec::new("core", ["bias", "load", "out1", "out2"], ["out1"]),
+                BlockSpec::new("side", ["aux", "out3"], ["out3"]),
+            ],
+        )
+        .unwrap()
+    }
+
+    /// A panic while a child slot is locked poisons its mutex; the block
+    /// must keep serving instead of panicking every later descent.
+    #[test]
+    fn a_poisoned_child_slot_keeps_serving() {
+        let hierarchy = toy_hierarchy();
+        let compiled = hierarchy.child(0).unwrap();
+        std::thread::scope(|scope| {
+            for entry in &hierarchy.blocks {
+                let poisoner = scope.spawn(move || {
+                    let _slot = entry.child.lock().unwrap();
+                    panic!("compile panicked while holding the slot");
+                });
+                assert!(poisoner.join().is_err());
+                assert!(entry.child.is_poisoned());
+            }
+        });
+        assert!(Arc::ptr_eq(&hierarchy.child(0).unwrap(), &compiled));
+        assert!(hierarchy.child_compiled(0));
+        assert!(!hierarchy.child_compiled(1));
+        hierarchy.child(1).unwrap();
+        assert!(hierarchy.child_compiled(1));
+        assert_eq!(hierarchy.submodel_compiles(), 2);
     }
 }

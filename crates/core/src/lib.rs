@@ -31,9 +31,7 @@
 //! against an [`ActionExecutor`], stopping once a [`StoppingPolicy`]
 //! condition fires, all through one compiled junction tree and reusable
 //! propagation workspaces. [`SessionRequest`] / [`SessionReport`] mirror
-//! one decision round over serde for a service boundary. The legacy
-//! entry points (`SequentialDiagnoser`, `rank_probes`) remain as thin
-//! deprecated wrappers; the [`session`] docs carry the migration table.
+//! one decision round over serde for a service boundary.
 //!
 //! ## Hierarchical diagnosis
 //!
@@ -80,9 +78,17 @@ pub mod fleet;
 pub mod hierarchy;
 mod model;
 mod planner;
-mod probe;
+/// Step-two probe ranking through [`DiagnosisSession`].
+#[cfg(test)]
+mod probe {
+    mod tests;
+}
 mod report;
-mod sequential;
+/// The closed test-and-probe loop through [`DiagnosisSession`].
+#[cfg(test)]
+mod sequential {
+    mod tests;
+}
 #[deny(missing_docs)]
 pub mod session;
 mod voi;
@@ -107,10 +113,7 @@ pub use model::CircuitModel;
 pub use planner::{
     CostModel, LookaheadPlanner, Strategy, DEFAULT_LOOKAHEAD_DISCOUNT, MAX_LOOKAHEAD_DEPTH,
 };
-pub use probe::ProbeSuggestion;
 pub use report::{render_candidates, render_state_table};
-#[allow(deprecated)]
-pub use sequential::{Measured, ScoredCandidate, SequentialDiagnoser};
 pub use session::{
     Action, ActionExecutor, AppliedMeasurement, CompiledModel, DecisionTrace, DiagnosisSession,
     Outcome, Ranked, ScoredAction, SequentialOutcome, SessionReport, SessionRequest, StopReason,

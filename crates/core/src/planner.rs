@@ -31,8 +31,8 @@
 //!   preallocated workspace per depth level, so steady-state planning is
 //!   compile-free and allocation-free like the myopic path.
 //!
-//! [`crate::SequentialDiagnoser`] selects among the three behaviours via
-//! [`Strategy`].
+//! [`crate::DiagnosisSession::set_strategy`] selects among the three
+//! behaviours via [`Strategy`].
 
 use crate::error::{Error, Result};
 use crate::session::CompiledModel;
@@ -40,7 +40,7 @@ use crate::voi::PROB_FLOOR;
 use abbd_bbn::{Evidence, JunctionTree, Network, PropagationWorkspace, VarId};
 use serde::{Deserialize, Serialize};
 
-/// How [`crate::SequentialDiagnoser`] ranks candidate measurements.
+/// How [`crate::DiagnosisSession::rank_actions`] ranks candidate measurements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Strategy {
     /// Raw expected information gain, one step ahead (the PR 2
@@ -584,6 +584,8 @@ mod tests {
     use super::*;
     use crate::engine::Observation;
     use crate::fixtures::toy_sequential_engine;
+    use crate::session::{DiagnosisSession, StoppingPolicy};
+    use std::sync::Arc;
 
     #[test]
     fn strategy_validation() {
@@ -667,8 +669,16 @@ mod tests {
             .values(eng.compiled(), &evidence, &vars)
             .unwrap()
             .to_vec();
+        let mut session =
+            DiagnosisSession::new(Arc::clone(eng.compiled()), StoppingPolicy::default()).unwrap();
+        session.observe_all(&obs).unwrap();
+        let myopic = session.rank_actions().unwrap();
         for (name, value) in ["out1", "out2", "out3"].iter().zip(&values) {
-            let gain = eng.expected_information_gain(&obs, name).unwrap();
+            let gain = myopic
+                .iter()
+                .find(|c| c.name() == *name)
+                .unwrap()
+                .expected_information_gain();
             assert_eq!(
                 *value, gain,
                 "depth-1 value for {name} must equal the myopic gain"

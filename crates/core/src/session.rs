@@ -2,12 +2,8 @@
 //! `Action` vocabulary for specification tests and physical probes.
 //!
 //! The paper's workflow is a single loop — observe ATE results, update
-//! the block posteriors, pick the next measurement — but the crate's
-//! historical surface split it across four parallel entry points
-//! ([`crate::DiagnosticEngine::diagnose`], `SequentialDiagnoser`,
-//! `DiagnosticEngine::rank_probes` and [`LookaheadPlanner`]), none of
-//! which let concurrent callers share a compiled model. This module
-//! restructures the API around two types:
+//! the block posteriors, pick the next measurement — and this module
+//! serves it through two types:
 //!
 //! * [`CompiledModel`] — the immutable compilation artifact (fitted
 //!   network, junction-tree schedule, deduction policy, latent/observable
@@ -21,23 +17,6 @@
 //!   [`Outcome`], [`Ranked`]. The candidate set may freely mix
 //!   specification tests and step-two physical probes, so "measure
 //!   `reg4` or probe `hcbg` next?" is *one* decision, not two phases.
-//!
-//! # Migration from the legacy entry points
-//!
-//! | old entry point | new call |
-//! |-----------------|----------|
-//! | `DiagnosticEngine::new(model)` | `CompiledModel::compile(model)?.shared()` |
-//! | `DiagnosticEngine::diagnose(&obs)` | seed with [`DiagnosisSession::observe_all`], then [`DiagnosisSession::diagnose`] |
-//! | `SequentialDiagnoser::new(&engine, policy)` | [`DiagnosisSession::new`]`(compiled, policy)` |
-//! | `SequentialDiagnoser::run(oracle)` | [`DiagnosisSession::run`] with an [`ActionExecutor`] |
-//! | `SequentialDiagnoser::score_candidates()` | [`DiagnosisSession::rank_actions`] |
-//! | `DiagnosticEngine::rank_probes(&obs)` | [`DiagnosisSession::set_actions`] with [`Action::Probe`] candidates, then [`DiagnosisSession::rank_actions`] |
-//! | `LookaheadPlanner::values(...)` | [`DiagnosisSession::set_strategy`]`(Strategy::Lookahead { depth })`, then [`DiagnosisSession::rank_actions`] |
-//! | `Measured` | [`Outcome`] |
-//!
-//! The legacy types still exist as thin `#[deprecated]` wrappers over
-//! this module, so existing code keeps compiling (and the golden-trace
-//! corpus replays byte-for-byte through either surface).
 //!
 //! # Service boundary
 //!
@@ -1196,13 +1175,11 @@ impl DiagnosisSession {
 
     /// [`DiagnosisSession::set_actions`] from bare variable names,
     /// classifying each as a test or probe by whether it is a latent
-    /// block (the legacy `set_candidates` behaviour).
+    /// block.
     ///
     /// # Errors
     ///
-    /// Same as [`DiagnosisSession::set_actions`], surfaced as
-    /// [`Error::InvalidObservation`] for unknown names (legacy
-    /// compatibility).
+    /// Same as [`DiagnosisSession::set_actions`].
     pub fn set_candidates<I, N>(&mut self, names: I) -> Result<()>
     where
         I: IntoIterator<Item = N>,
@@ -1212,35 +1189,21 @@ impl DiagnosisSession {
             .into_iter()
             .map(|name| {
                 let name = name.as_ref();
-                let var =
-                    self.compiled
-                        .model()
-                        .var(name)
-                        .map_err(|_| Error::InvalidObservation {
-                            variable: name.into(),
-                            reason: "not a model variable".into(),
-                        })?;
-                Ok(if self.latents.contains(&var) {
+                let latent = self
+                    .compiled
+                    .model()
+                    .var(name)
+                    .is_ok_and(|var| self.latents.contains(&var));
+                // Unknown names fall through as tests, which
+                // `set_actions` rejects as "not a model variable".
+                if latent {
                     Action::probe(name)
                 } else {
                     Action::test(name)
-                })
+                }
             })
-            .collect::<Result<_>>()?;
-        self.set_actions(actions).map_err(|e| match e {
-            // Legacy callers match on InvalidObservation and read the
-            // bare variable name, so strip the action rendering
-            // (`test x` / `probe x`) back down to `x`.
-            Error::InvalidAction { action, reason } => {
-                let variable = action
-                    .strip_prefix("test ")
-                    .or_else(|| action.strip_prefix("probe "))
-                    .unwrap_or(&action)
-                    .to_string();
-                Error::InvalidObservation { variable, reason }
-            }
-            other => other,
-        })
+            .collect();
+        self.set_actions(actions)
     }
 
     /// The unapplied candidates with their scores from the latest

@@ -1,6 +1,6 @@
-//! The value-of-information kernel shared by probe ranking
-//! ([`DiagnosticEngine::rank_probes`]) and sequential adaptive diagnosis
-//! ([`crate::SequentialDiagnoser`]).
+//! The value-of-information kernel behind
+//! [`crate::DiagnosisSession::rank_actions`], which scores specification
+//! tests and physical probes in one candidate set.
 //!
 //! # The quantity
 //!
@@ -30,7 +30,7 @@
 //! suite-switch penalty charged whenever the candidate's stimulus suite
 //! differs from the currently applied one (the quantity
 //! `DeviceSession::stimulus_switches` counts on the bench).
-//! [`crate::SequentialDiagnoser`] applies it under
+//! [`crate::DiagnosisSession`] applies it under
 //! [`crate::Strategy::CostWeighted`], and
 //! [`crate::Strategy::Lookahead`] feeds the same normalisation with the
 //! bounded-depth expectimax value of [`crate::LookaheadPlanner`] instead
@@ -56,7 +56,6 @@
 //! mutation), and entropies come from the restricted
 //! [`abbd_bbn::CalibratedView::posterior_entropy`] helper.
 
-use crate::engine::{DiagnosticEngine, Observation};
 use crate::error::{Error, Result};
 use crate::session::CompiledModel;
 use abbd_bbn::{Evidence, JunctionTree, PropagationWorkspace, VarId};
@@ -126,81 +125,18 @@ pub(crate) fn expected_gain(
     Ok((baseline_entropy - expected_after).max(0.0))
 }
 
-impl DiagnosticEngine {
-    /// The expected information gain (nats) of measuring `variable` under
-    /// `observation`: how much the summed posterior entropy of the latent
-    /// blocks would shrink, in expectation over the variable's current
-    /// posterior. This is the one-shot public face of the VOI kernel that
-    /// [`DiagnosticEngine::rank_probes`] and
-    /// [`crate::SequentialDiagnoser`] share; use those for ranking whole
-    /// candidate sets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidObservation`] for unknown variables or a
-    /// `variable` the observation already pins, and propagates propagation
-    /// errors.
-    pub fn expected_information_gain(
-        &self,
-        observation: &Observation,
-        variable: &str,
-    ) -> Result<f64> {
-        let evidence = self.evidence_from(observation)?;
-        let var = self
-            .model()
-            .var(variable)
-            .map_err(|_| Error::InvalidObservation {
-                variable: variable.into(),
-                reason: "not a model variable".into(),
-            })?;
-        if observation.state_of(variable).is_some() {
-            return Err(Error::InvalidObservation {
-                variable: variable.into(),
-                reason: "already observed; measuring it again carries no information".into(),
-            });
-        }
-        let latents: Vec<VarId> = self
-            .model()
-            .circuit_model()
-            .latents()
-            .iter()
-            .map(|name| self.model().var(name))
-            .collect::<Result<_>>()?;
-        let mut scratch = VoiScratch::new(self.compiled());
-        let mut base_ws = self.make_workspace();
-        let view = self
-            .jt()
-            .propagate_in(&mut base_ws, &evidence)
-            .map_err(Error::Bbn)?;
-        let mut baseline = 0.0;
-        for &v in &latents {
-            if v != var {
-                baseline += view.posterior_entropy(v).map_err(Error::Bbn)?;
-            }
-        }
-        let card = self.model().network().card(var);
-        view.posterior_into(var, &mut scratch.dist[..card])
-            .map_err(Error::Bbn)?;
-        expected_gain(
-            self.jt(),
-            &mut scratch.ws,
-            &evidence,
-            var,
-            &scratch.dist[..card],
-            &latents,
-            baseline,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
     use crate::model::CircuitModel;
+    use crate::session::{Action, DiagnosisSession, StoppingPolicy};
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
+    use std::sync::Arc;
 
-    fn engine() -> DiagnosticEngine {
+    /// One latent `h` read by an informative (`tight`) and a nearly
+    /// useless (`loose`) observable.
+    fn compiled() -> Arc<CompiledModel> {
         let var = |name: &str, ftype| VariableSpec {
             name: name.into(),
             ftype,
@@ -228,15 +164,21 @@ mod tests {
             .with_expert(e)
             .build_expert_only()
             .unwrap();
-        DiagnosticEngine::new(dm).unwrap()
+        CompiledModel::compile(dm).unwrap().shared()
     }
 
     #[test]
     fn informative_observables_score_higher() {
-        let eng = engine();
-        let obs = Observation::new();
-        let tight = eng.expected_information_gain(&obs, "tight").unwrap();
-        let loose = eng.expected_information_gain(&obs, "loose").unwrap();
+        let mut session = DiagnosisSession::new(compiled(), StoppingPolicy::default()).unwrap();
+        let ranked = session.rank_actions().unwrap();
+        let gain = |name: &str| {
+            ranked
+                .iter()
+                .find(|c| c.name() == name)
+                .unwrap()
+                .expected_information_gain()
+        };
+        let (tight, loose) = (gain("tight"), gain("loose"));
         assert!(
             tight > loose * 5.0,
             "tight={tight} must dominate loose={loose}"
@@ -246,13 +188,12 @@ mod tests {
 
     #[test]
     fn probing_the_latent_itself_scores_zero_with_no_other_latents() {
-        let eng = engine();
+        let mut session = DiagnosisSession::new(compiled(), StoppingPolicy::default()).unwrap();
         // `h` is the only latent; with it excluded from its own scoring
         // there is nothing left to gain information about.
-        let gain = eng
-            .expected_information_gain(&Observation::new(), "h")
-            .unwrap();
-        assert_eq!(gain, 0.0);
+        session.set_actions([Action::probe("h")]).unwrap();
+        let ranked = session.rank_actions().unwrap();
+        assert_eq!(ranked[0].expected_information_gain(), 0.0);
     }
 
     /// The clamp-before-cost-normalising regression: when rounding noise
@@ -262,23 +203,23 @@ mod tests {
     /// useless candidate would paradoxically outrank a cheap one).
     #[test]
     fn fractionally_negative_gains_clamp_to_zero_before_cost_normalising() {
-        let eng = engine();
-        let evidence = eng.evidence_from(&Observation::new()).unwrap();
+        let compiled = compiled();
+        let evidence = Evidence::new();
         // Probing the only latent itself: its entropy is excluded from
         // both sides, so the true gain is exactly zero and the expected
         // post-measurement entropy is 0. A baseline perturbed 1e-16 low
         // (the rounding noise this guards against) makes the raw
         // difference negative.
-        let var = eng.model().var("h").unwrap();
+        let var = compiled.model().var("h").unwrap();
         let latents = vec![var];
-        let mut scratch = VoiScratch::new(eng.compiled());
-        let mut base_ws = eng.make_workspace();
-        let view = eng.jt().propagate_in(&mut base_ws, &evidence).unwrap();
+        let mut scratch = VoiScratch::new(&compiled);
+        let mut base_ws = compiled.make_workspace();
+        let view = compiled.jt().propagate_in(&mut base_ws, &evidence).unwrap();
         view.posterior_into(var, &mut scratch.dist[..2]).unwrap();
         let dist = scratch.dist[..2].to_vec();
         let noisy_baseline = -1e-16;
         let gain = expected_gain(
-            eng.jt(),
+            compiled.jt(),
             &mut scratch.ws,
             &evidence,
             var,
@@ -293,20 +234,5 @@ mod tests {
         assert_eq!(gain, 0.0);
         assert_eq!(gain / 3.5, 0.0);
         assert!(noisy_baseline / 3.5 < 0.0, "unclamped noise flips sign");
-    }
-
-    #[test]
-    fn rejects_unknown_and_observed_targets() {
-        let eng = engine();
-        let mut obs = Observation::new();
-        obs.set("tight", 1);
-        assert!(matches!(
-            eng.expected_information_gain(&obs, "tight"),
-            Err(Error::InvalidObservation { .. })
-        ));
-        assert!(matches!(
-            eng.expected_information_gain(&obs, "ghost"),
-            Err(Error::InvalidObservation { .. })
-        ));
     }
 }
