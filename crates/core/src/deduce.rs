@@ -14,7 +14,11 @@
 //! 3. *exonerate by explanation*: prune a suspect whenever the probability
 //!    that **at least one of its latent ancestors is faulty** reaches the
 //!    faulty threshold — its failure is then an expected consequence, and
-//!    "the suspicion falls back to the parent" exactly as in the paper;
+//!    "the suspicion falls back to the parent" exactly as in the paper.
+//!    The probability is exact: one propagation through the round's
+//!    compiled junction tree with every latent ancestor held to its
+//!    healthy states gives `P(e, all healthy)`, and the round's own
+//!    propagation gives `P(e)`;
 //! 4. add a *self-candidate* for any observable block whose measurement
 //!    failed but whose latent ancestry is likely healthy (the block itself
 //!    is broken);
@@ -25,8 +29,8 @@
 //! `{enb13}`, d3 → `{warnvpst}`, d4 → `{lcbg}`, d5 → `{enbsw}`).
 
 use crate::error::{Error, Result};
-use crate::model::CircuitModel;
-use abbd_bbn::{Evidence, Network, VarId, VariableElimination};
+use crate::session::CompiledModel;
+use abbd_bbn::{Evidence, PropagationWorkspace};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -41,7 +45,8 @@ pub enum HealthClass {
     Healthy,
 }
 
-/// Thresholds of the deduction walk.
+/// Thresholds of the deduction walk. The ancestor fault probability the
+/// walk prunes by is not tunable: it is exact, through the compiled tree.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DeductionPolicy {
     /// Fault-state posterior mass at or above which a block is FAULTY.
@@ -51,9 +56,6 @@ pub struct DeductionPolicy {
     /// When no latent reaches the faulty threshold, seed the walk with the
     /// highest-mass ambiguous latent instead of reporting nothing.
     pub seed_with_best_ambiguous: bool,
-    /// Joint tables larger than this fall back to an independence
-    /// approximation when computing ancestor-disjunction probabilities.
-    pub max_joint_cells: usize,
 }
 
 impl Default for DeductionPolicy {
@@ -62,7 +64,6 @@ impl Default for DeductionPolicy {
             faulty_threshold: 0.55,
             healthy_threshold: 0.35,
             seed_with_best_ambiguous: true,
-            max_joint_cells: 1 << 16,
         }
     }
 }
@@ -82,11 +83,6 @@ impl DeductionPolicy {
         if self.healthy_threshold >= self.faulty_threshold {
             return Err(Error::InvalidPolicy(
                 "healthy threshold must be below the faulty threshold".into(),
-            ));
-        }
-        if self.max_joint_cells == 0 {
-            return Err(Error::InvalidPolicy(
-                "max_joint_cells must be positive".into(),
             ));
         }
         Ok(())
@@ -126,6 +122,17 @@ pub struct Candidate {
     pub conditional_fault_expectation: f64,
 }
 
+/// What deduction reads from one diagnosis round: the compiled model the
+/// round propagated through, its evidence, the posteriors it extracted
+/// (spec order, as in [`crate::Diagnosis::posteriors`]) and its
+/// `ln P(e)`.
+pub(crate) struct Round<'a> {
+    pub(crate) compiled: &'a CompiledModel,
+    pub(crate) evidence: &'a Evidence,
+    pub(crate) posteriors: &'a [(String, Vec<f64>)],
+    pub(crate) log_evidence: f64,
+}
+
 /// CPT-level fault expectation of `variable` given its parents' *benign*
 /// configuration: control/observable parents take their observed (or most
 /// probable) states, latent parents take their most probable **non-fault**
@@ -137,46 +144,31 @@ pub struct Candidate {
 ///
 /// # Errors
 ///
-/// Propagates inference errors.
-pub fn conditional_fault_expectation(
-    model: &CircuitModel,
-    network: &Network,
-    evidence: &Evidence,
-    variable: &str,
-) -> Result<f64> {
-    let var = network
-        .var(variable)
-        .ok_or_else(|| Error::UnknownVariable(variable.into()))?;
-    let parents = network.parents(var).to_vec();
+/// Returns [`Error::UnknownVariable`] for a name outside the network.
+pub(crate) fn conditional_fault_expectation(round: &Round<'_>, variable: &str) -> Result<f64> {
+    let model = round.compiled.model().circuit_model();
+    let network = round.compiled.model().network();
+    let var = round.compiled.model().var(variable)?;
+    let parents = network.parents(var);
     if parents.is_empty() {
         return Ok(0.0);
     }
-    let ve = VariableElimination::new(network);
     let mut parent_states = Vec::with_capacity(parents.len());
-    for p in &parents {
-        let p_name = network.name(*p).to_string();
-        let is_latent = model.latents().iter().any(|l| *l == p_name);
-        let state = if let Some(s) = evidence.state_of(*p) {
-            s
-        } else {
-            let posterior = ve.posterior(evidence, *p).map_err(Error::Bbn)?;
-            if is_latent {
-                // Most probable non-fault state.
-                let faults = model.fault_states(&p_name);
+    for &p in parents {
+        let state = match round.evidence.state_of(p) {
+            Some(s) => s,
+            None => {
+                let (name, posterior) = &round.posteriors[round.compiled.spec_index(p)];
+                let is_latent = round.compiled.latent_vars().iter().any(|&(_, l)| l == p);
+                let faults = model.fault_states(name);
+                // Most probable state, or most probable non-fault state
+                // for a latent parent.
                 posterior
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| !faults.contains(i))
+                    .filter(|(i, _)| !(is_latent && faults.contains(i)))
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            } else {
-                posterior
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
+                    .map_or(0, |(i, _)| i)
             }
         };
         parent_states.push(state);
@@ -190,91 +182,82 @@ pub fn conditional_fault_expectation(
 }
 
 /// Probability that at least one latent ancestor of `variable` is in a
-/// fault state, given the evidence. Exact via a joint marginal when the
-/// ancestor state space fits `policy.max_joint_cells`; otherwise an
-/// independence approximation over the single-variable posteriors.
+/// fault state, given the round's evidence — exactly, as
+/// `1 − P(e, every latent ancestor healthy) / P(e)`. The numerator is one
+/// propagation through `ws` with a 0/1 healthy-states likelihood on each
+/// unobserved latent ancestor; an ancestor observed healthy is skipped.
+/// An ancestor observed faulty, an ancestor with no healthy state, or a
+/// numerator of zero probability all give exactly 1.
 ///
 /// # Errors
 ///
-/// Propagates inference errors.
-pub fn ancestor_fault_probability(
-    model: &CircuitModel,
-    network: &Network,
-    evidence: &Evidence,
+/// Returns [`Error::UnknownVariable`] for an ancestor outside the network
+/// and propagates any propagation error other than impossible evidence.
+pub(crate) fn ancestor_fault_probability(
+    round: &Round<'_>,
+    ws: &mut PropagationWorkspace,
     variable: &str,
-    policy: &DeductionPolicy,
 ) -> Result<f64> {
-    let ancestors = model.latent_ancestors(variable);
-    if ancestors.is_empty() {
-        return Ok(0.0);
-    }
-    let ids: Vec<VarId> = ancestors
-        .iter()
-        .map(|a| {
-            network
-                .var(a)
-                .ok_or_else(|| Error::UnknownVariable(a.clone()))
-        })
-        .collect::<Result<_>>()?;
-    let cells: usize = ids.iter().map(|v| network.card(*v)).product();
-    let ve = VariableElimination::new(network);
-    if cells <= policy.max_joint_cells {
-        let joint = ve.joint_marginal(evidence, &ids).map_err(Error::Bbn)?;
-        // P(all ancestors healthy): sum cells where every ancestor avoids
-        // its fault states.
-        let fault_sets: Vec<Vec<usize>> = ancestors.iter().map(|a| model.fault_states(a)).collect();
-        let mut healthy = 0.0;
-        for (idx, p) in joint.values().iter().enumerate() {
-            let assignment = joint.assignment_of(idx);
-            let all_ok = assignment
-                .iter()
-                .zip(&fault_sets)
-                .all(|(s, faults)| !faults.contains(s));
-            if all_ok {
-                healthy += p;
+    let model = round.compiled.model();
+    let mut query = round.evidence.clone();
+    for ancestor in model.circuit_model().latent_ancestors(variable) {
+        let id = model.var(&ancestor)?;
+        let faults = model.circuit_model().fault_states(&ancestor);
+        if let Some(state) = round.evidence.state_of(id) {
+            if faults.contains(&state) {
+                return Ok(1.0);
+            }
+            continue;
+        }
+        let mut healthy: Vec<f64> = (0..model.network().card(id))
+            .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
+            .collect();
+        if let Some(likelihood) = round.evidence.likelihood_of(id) {
+            for (h, w) in healthy.iter_mut().zip(likelihood) {
+                *h *= w;
             }
         }
-        Ok((1.0 - healthy).clamp(0.0, 1.0))
-    } else {
-        let mut healthy = 1.0;
-        for (a, id) in ancestors.iter().zip(&ids) {
-            let post = ve.posterior(evidence, *id).map_err(Error::Bbn)?;
-            let mass: f64 = model
-                .fault_states(a)
-                .iter()
-                .filter_map(|&s| post.get(s))
-                .sum();
-            healthy *= 1.0 - mass.clamp(0.0, 1.0);
+        if healthy.iter().all(|&h| h == 0.0) {
+            return Ok(1.0);
         }
-        Ok((1.0 - healthy).clamp(0.0, 1.0))
+        query.observe_likelihood(id, healthy);
+    }
+    if query == *round.evidence {
+        // Every latent ancestor is already known healthy.
+        return Ok(0.0);
+    }
+    match round.compiled.jt().propagate_in(ws, &query) {
+        Ok(view) => Ok((-(view.log_likelihood() - round.log_evidence).exp_m1()).clamp(0.0, 1.0)),
+        Err(abbd_bbn::Error::ImpossibleEvidence) => Ok(1.0),
+        Err(e) => Err(Error::Bbn(e)),
     }
 }
 
 /// Runs the deduction over per-latent fault masses.
 ///
 /// * `fault_mass` maps every latent variable to its posterior fault-state
-///   mass (computed by the diagnostic engine).
+///   mass (computed by the diagnostic engine), and `classes` maps it to
+///   its [`DeductionPolicy::classify`] class.
 /// * `failing_observables` lists observable variables whose source
 ///   measurement failed its ATE limits — candidates of last resort.
+///
+/// The exoneration queries propagate through `ws`, which is left holding
+/// the last of them.
 ///
 /// # Errors
 ///
 /// Returns [`Error::InvalidPolicy`] for malformed thresholds and
 /// propagates inference errors from the exoneration queries.
-pub fn deduce_candidates(
-    model: &CircuitModel,
-    network: &Network,
-    evidence: &Evidence,
+pub(crate) fn deduce_candidates(
+    round: &Round<'_>,
+    ws: &mut PropagationWorkspace,
     fault_mass: &BTreeMap<String, f64>,
+    classes: &BTreeMap<String, HealthClass>,
     failing_observables: &[String],
     policy: &DeductionPolicy,
 ) -> Result<Vec<Candidate>> {
     policy.validate()?;
 
-    let classes: BTreeMap<&str, HealthClass> = fault_mass
-        .iter()
-        .map(|(name, &mass)| (name.as_str(), policy.classify(mass)))
-        .collect();
     let class_of = |name: &str| classes.get(name).copied().unwrap_or(HealthClass::Healthy);
 
     // Seeds: faulty latents; fallback to the single worst ambiguous latent.
@@ -294,6 +277,7 @@ pub fn deduce_candidates(
     }
 
     // Walk upwards through non-healthy latent ancestors.
+    let model = round.compiled.model().circuit_model();
     let mut suspects: Vec<&str> = Vec::new();
     let mut stack: Vec<&str> = seeds.clone();
     while let Some(v) = stack.pop() {
@@ -311,11 +295,20 @@ pub fn deduce_candidates(
 
     // Exonerate suspects explained by their ancestry or by the test
     // conditions themselves.
+    let mut survives = |v: &str| -> Result<Option<(f64, f64)>> {
+        let p_anc = ancestor_fault_probability(round, ws, v)?;
+        let p_cond = conditional_fault_expectation(round, v)?;
+        let kept = p_anc < policy.faulty_threshold && p_cond < policy.faulty_threshold;
+        Ok(kept.then_some((p_anc, p_cond)))
+    };
+    let by_mass = |a: &Candidate, b: &Candidate| {
+        b.fault_mass
+            .partial_cmp(&a.fault_mass)
+            .expect("fault mass has no NaN")
+    };
     let mut candidates: Vec<Candidate> = Vec::new();
     for &v in &suspects {
-        let p_anc = ancestor_fault_probability(model, network, evidence, v, policy)?;
-        let p_cond = conditional_fault_expectation(model, network, evidence, v)?;
-        if p_anc < policy.faulty_threshold && p_cond < policy.faulty_threshold {
+        if let Some((p_anc, p_cond)) = survives(v)? {
             candidates.push(Candidate {
                 variable: v.to_string(),
                 fault_mass: fault_mass[v],
@@ -325,19 +318,13 @@ pub fn deduce_candidates(
             });
         }
     }
-    candidates.sort_by(|a, b| {
-        b.fault_mass
-            .partial_cmp(&a.fault_mass)
-            .expect("fault mass has no NaN")
-    });
+    candidates.sort_by(by_mass);
 
     // Self-candidates: failing observables with healthy-looking ancestry
     // whose failure is not the expected outcome of the conditions.
     let mut self_candidates: Vec<Candidate> = Vec::new();
     for name in failing_observables {
-        let p_anc = ancestor_fault_probability(model, network, evidence, name, policy)?;
-        let p_cond = conditional_fault_expectation(model, network, evidence, name)?;
-        if p_anc < policy.faulty_threshold && p_cond < policy.faulty_threshold {
+        if let Some((p_anc, p_cond)) = survives(name)? {
             self_candidates.push(Candidate {
                 variable: name.clone(),
                 fault_mass: 1.0 - p_anc,
@@ -347,11 +334,7 @@ pub fn deduce_candidates(
             });
         }
     }
-    self_candidates.sort_by(|a, b| {
-        b.fault_mass
-            .partial_cmp(&a.fault_mass)
-            .expect("fault mass has no NaN")
-    });
+    self_candidates.sort_by(by_mass);
     candidates.extend(self_candidates);
     Ok(candidates)
 }
@@ -360,6 +343,8 @@ pub fn deduce_candidates(
 mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
+    use crate::model::CircuitModel;
+    use abbd_bbn::{VarId, VariableElimination};
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 
     /// A miniature of the regulator's latent chain:
@@ -395,7 +380,7 @@ mod tests {
         m
     }
 
-    fn network(m: &CircuitModel) -> Network {
+    fn expert() -> ExpertKnowledge {
         let mut e = ExpertKnowledge::new(10.0);
         e.cpt("root", [[0.05, 0.95]]);
         e.cpt("mid", [[0.97, 0.03], [0.05, 0.95]]);
@@ -404,24 +389,131 @@ mod tests {
         e.cpt("obs_a", [[0.97, 0.03], [0.03, 0.97]]);
         e.cpt("obs_b", [[0.97, 0.03], [0.03, 0.97]]);
         e.cpt("obs_c", [[0.97, 0.03], [0.03, 0.97]]);
-        ModelBuilder::new(m.clone())
+        e
+    }
+
+    fn compiled(m: &CircuitModel, e: ExpertKnowledge) -> CompiledModel {
+        let model = ModelBuilder::new(m.clone())
             .with_expert(e)
             .build_expert_only()
-            .unwrap()
-            .network()
-            .clone()
+            .unwrap();
+        CompiledModel::compile(model).unwrap()
     }
 
     fn masses(pairs: &[(&str, f64)]) -> BTreeMap<String, f64> {
         pairs.iter().map(|(n, m)| (n.to_string(), *m)).collect()
     }
 
-    fn evidence_for(net: &Network, pairs: &[(&str, usize)]) -> Evidence {
+    fn evidence_for(c: &CompiledModel, pairs: &[(&str, usize)]) -> Evidence {
         let mut e = Evidence::new();
         for (n, s) in pairs {
-            e.observe(net.var(n).unwrap(), *s);
+            e.observe(c.model().var(n).unwrap(), *s);
         }
         e
+    }
+
+    /// Calibrates `c` on `ev` and hands `f` the round the diagnosis
+    /// kernel would hand deduction, plus the workspace it propagated in.
+    fn with_round<T>(
+        c: &CompiledModel,
+        ev: &Evidence,
+        f: impl FnOnce(&Round<'_>, &mut PropagationWorkspace) -> T,
+    ) -> T {
+        let mut ws = c.make_workspace();
+        let cal = c.jt().propagate_in(&mut ws, ev).unwrap();
+        let log_evidence = cal.log_likelihood();
+        let posteriors: Vec<(String, Vec<f64>)> = c
+            .model()
+            .circuit_model()
+            .spec()
+            .variables()
+            .iter()
+            .map(|v| {
+                let id = c.model().var(&v.name).unwrap();
+                (v.name.clone(), cal.posterior(id).unwrap())
+            })
+            .collect();
+        let round = Round {
+            compiled: c,
+            evidence: ev,
+            posteriors: &posteriors,
+            log_evidence,
+        };
+        f(&round, &mut ws)
+    }
+
+    fn deduce(
+        c: &CompiledModel,
+        ev: &Evidence,
+        fm: &BTreeMap<String, f64>,
+        failing: &[String],
+        policy: &DeductionPolicy,
+    ) -> Vec<Candidate> {
+        let classes = fm
+            .iter()
+            .map(|(name, &mass)| (name.clone(), policy.classify(mass)))
+            .collect();
+        with_round(c, ev, |round, ws| {
+            deduce_candidates(round, ws, fm, &classes, failing, policy).unwrap()
+        })
+    }
+
+    /// The variable-elimination oracle for both exoneration queries:
+    /// `(ancestor fault probability, conditional fault expectation)` from
+    /// a joint-marginal enumeration over the latent ancestors and
+    /// per-parent VE posterior argmaxes.
+    fn oracle(c: &CompiledModel, ev: &Evidence, variable: &str) -> (f64, f64) {
+        let m = c.model().circuit_model();
+        let net = c.model().network();
+        let ve = VariableElimination::new(net);
+        let ancestors = m.latent_ancestors(variable);
+        let p_anc = if ancestors.is_empty() {
+            0.0
+        } else {
+            let ids: Vec<VarId> = ancestors.iter().map(|a| net.var(a).unwrap()).collect();
+            let joint = ve.joint_marginal(ev, &ids).unwrap();
+            let healthy: f64 = joint
+                .values()
+                .iter()
+                .enumerate()
+                .filter(|&(idx, _)| {
+                    joint
+                        .assignment_of(idx)
+                        .iter()
+                        .zip(&ancestors)
+                        .all(|(s, a)| !m.fault_states(a).contains(s))
+                })
+                .map(|(_, p)| p)
+                .sum();
+            (1.0 - healthy).clamp(0.0, 1.0)
+        };
+        let var = net.var(variable).unwrap();
+        let parents = net.parents(var);
+        let p_cond = if parents.is_empty() {
+            0.0
+        } else {
+            let states: Vec<usize> = parents
+                .iter()
+                .map(|&p| {
+                    ev.state_of(p).unwrap_or_else(|| {
+                        let name = net.name(p);
+                        let faults = if m.latents().contains(&name) {
+                            m.fault_states(name)
+                        } else {
+                            Vec::new()
+                        };
+                        let post = ve.posterior(ev, p).unwrap();
+                        (0..post.len())
+                            .filter(|i| !faults.contains(i))
+                            .max_by(|&a, &b| post[a].partial_cmp(&post[b]).unwrap())
+                            .unwrap_or(0)
+                    })
+                })
+                .collect();
+            let row = net.cpt_row(var, &states).unwrap();
+            m.fault_states(variable).iter().map(|&s| row[s]).sum()
+        };
+        (p_anc, p_cond)
     }
 
     #[test]
@@ -438,11 +530,6 @@ mod tests {
             ..Default::default()
         };
         assert!(oob.validate().is_err());
-        let zero = DeductionPolicy {
-            max_joint_cells: 0,
-            ..Default::default()
-        };
-        assert!(zero.validate().is_err());
         let p = DeductionPolicy::default();
         assert_eq!(p.classify(0.9), HealthClass::Faulty);
         assert_eq!(p.classify(0.45), HealthClass::Ambiguous);
@@ -452,24 +539,15 @@ mod tests {
     #[test]
     fn single_faulty_leaf_with_healthy_parents_is_the_candidate() {
         // Mirrors paper cases d2/d5: obs_a fails, obs_b and obs_c fine.
-        let m = model();
-        let net = network(&m);
-        let ev = evidence_for(&net, &[("obs_a", 0), ("obs_b", 1), ("obs_c", 1)]);
+        let c = compiled(&model(), expert());
+        let ev = evidence_for(&c, &[("obs_a", 0), ("obs_b", 1), ("obs_c", 1)]);
         let fm = masses(&[
             ("root", 0.02),
             ("mid", 0.05),
             ("leaf_a", 0.95),
             ("leaf_b", 0.03),
         ]);
-        let c = deduce_candidates(
-            &m,
-            &net,
-            &ev,
-            &fm,
-            &["obs_a".into()],
-            &DeductionPolicy::default(),
-        )
-        .unwrap();
+        let c = deduce(&c, &ev, &fm, &["obs_a".into()], &DeductionPolicy::default());
         assert_eq!(c[0].variable, "leaf_a");
         assert_eq!(c[0].class, HealthClass::Faulty);
         // obs_a is explained by leaf_a, so no self-candidate for it.
@@ -481,16 +559,15 @@ mod tests {
         // Mirrors paper case d1: both leaves look faulty, mid and root are
         // ambiguous -> the ambiguous ancestors are reported, leaves pruned
         // because their ancestor disjunction is high.
-        let m = model();
-        let net = network(&m);
-        let ev = evidence_for(&net, &[("obs_a", 0), ("obs_b", 0)]);
+        let c = compiled(&model(), expert());
+        let ev = evidence_for(&c, &[("obs_a", 0), ("obs_b", 0)]);
         let fm = masses(&[
             ("root", 0.45),
             ("mid", 0.48),
             ("leaf_a", 0.9),
             ("leaf_b", 0.88),
         ]);
-        let c = deduce_candidates(&m, &net, &ev, &fm, &[], &DeductionPolicy::default()).unwrap();
+        let c = deduce(&c, &ev, &fm, &[], &DeductionPolicy::default());
         let names: Vec<&str> = c.iter().map(|c| c.variable.as_str()).collect();
         // Under this evidence, P(root bad or mid bad) is high (both failing
         // leaves), so the leaves are pruned; mid survives only if its own
@@ -506,16 +583,15 @@ mod tests {
     #[test]
     fn clearly_faulty_root_explains_everything() {
         // Mirrors paper case d4: root is implicated by obs_c too.
-        let m = model();
-        let net = network(&m);
-        let ev = evidence_for(&net, &[("obs_a", 0), ("obs_b", 0), ("obs_c", 0)]);
+        let c = compiled(&model(), expert());
+        let ev = evidence_for(&c, &[("obs_a", 0), ("obs_b", 0), ("obs_c", 0)]);
         let fm = masses(&[
             ("root", 0.9),
             ("mid", 0.92),
             ("leaf_a", 0.95),
             ("leaf_b", 0.93),
         ]);
-        let c = deduce_candidates(&m, &net, &ev, &fm, &[], &DeductionPolicy::default()).unwrap();
+        let c = deduce(&c, &ev, &fm, &[], &DeductionPolicy::default());
         assert_eq!(c.len(), 1, "{c:?}");
         assert_eq!(c[0].variable, "root");
         assert_eq!(c[0].ancestor_fault_probability, 0.0);
@@ -523,25 +599,16 @@ mod tests {
 
     #[test]
     fn lone_observable_failure_becomes_self_candidate() {
-        let m = model();
-        let net = network(&m);
+        let c = compiled(&model(), expert());
         // Everything healthy upstream; obs_a failed its limits anyway.
-        let ev = evidence_for(&net, &[("obs_a", 1), ("obs_b", 1), ("obs_c", 1)]);
+        let ev = evidence_for(&c, &[("obs_a", 1), ("obs_b", 1), ("obs_c", 1)]);
         let fm = masses(&[
             ("root", 0.02),
             ("mid", 0.03),
             ("leaf_a", 0.04),
             ("leaf_b", 0.03),
         ]);
-        let c = deduce_candidates(
-            &m,
-            &net,
-            &ev,
-            &fm,
-            &["obs_a".into()],
-            &DeductionPolicy::default(),
-        )
-        .unwrap();
+        let c = deduce(&c, &ev, &fm, &["obs_a".into()], &DeductionPolicy::default());
         assert_eq!(c.len(), 1);
         assert_eq!(c[0].variable, "obs_a");
         assert!(c[0].fault_mass > 0.8);
@@ -549,40 +616,37 @@ mod tests {
 
     #[test]
     fn all_healthy_yields_no_candidates() {
-        let m = model();
-        let net = network(&m);
-        let ev = evidence_for(&net, &[("obs_a", 1), ("obs_b", 1), ("obs_c", 1)]);
+        let c = compiled(&model(), expert());
+        let ev = evidence_for(&c, &[("obs_a", 1), ("obs_b", 1), ("obs_c", 1)]);
         let fm = masses(&[
             ("root", 0.05),
             ("mid", 0.04),
             ("leaf_a", 0.03),
             ("leaf_b", 0.02),
         ]);
-        let c = deduce_candidates(&m, &net, &ev, &fm, &[], &DeductionPolicy::default()).unwrap();
+        let c = deduce(&c, &ev, &fm, &[], &DeductionPolicy::default());
         assert!(c.is_empty());
     }
 
     #[test]
     fn ambiguous_fallback_seed() {
-        let m = model();
-        let net = network(&m);
+        let c = compiled(&model(), expert());
         // obs_b and obs_c pass, which exonerates mid and root; obs_a's
         // failure leaves leaf_a merely ambiguous.
-        let ev = evidence_for(&net, &[("obs_a", 0), ("obs_b", 1), ("obs_c", 1)]);
+        let ev = evidence_for(&c, &[("obs_a", 0), ("obs_b", 1), ("obs_c", 1)]);
         let fm = masses(&[
             ("root", 0.1),
             ("mid", 0.2),
             ("leaf_a", 0.5),
             ("leaf_b", 0.1),
         ]);
-        let with = deduce_candidates(&m, &net, &ev, &fm, &[], &DeductionPolicy::default()).unwrap();
+        let with = deduce(&c, &ev, &fm, &[], &DeductionPolicy::default());
         assert_eq!(with.len(), 1);
         assert_eq!(with[0].variable, "leaf_a");
         assert_eq!(with[0].class, HealthClass::Ambiguous);
 
-        let without = deduce_candidates(
-            &m,
-            &net,
+        let without = deduce(
+            &c,
             &ev,
             &fm,
             &[],
@@ -590,37 +654,94 @@ mod tests {
                 seed_with_best_ambiguous: false,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         assert!(without.is_empty());
     }
 
     #[test]
-    fn approximate_and_exact_disjunction_agree_roughly() {
+    fn tree_disjunction_matches_the_ve_oracle() {
         let m = model();
-        let net = network(&m);
-        let ev = evidence_for(&net, &[("obs_a", 0), ("obs_b", 0)]);
-        let exact =
-            ancestor_fault_probability(&m, &net, &ev, "leaf_a", &DeductionPolicy::default())
-                .unwrap();
-        let approx = ancestor_fault_probability(
-            &m,
-            &net,
-            &ev,
-            "leaf_a",
-            &DeductionPolicy {
-                max_joint_cells: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert!(
-            (exact - approx).abs() < 0.25,
-            "exact {exact} vs approx {approx}"
-        );
+        let base = compiled(&m, expert());
+        // Every unobserved / passing (1) / failing (0) assignment of the
+        // three observables.
+        let mut inputs: Vec<(&CompiledModel, Evidence)> = Vec::new();
+        for code in 0..27 {
+            let pairs: Vec<(&str, usize)> = ["obs_a", "obs_b", "obs_c"]
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &name)| match code / 3usize.pow(i as u32) % 3 {
+                    0 => None,
+                    s => Some((name, s - 1)),
+                })
+                .collect();
+            inputs.push((&base, evidence_for(&base, &pairs)));
+        }
+        // An ancestor observed healthy is skipped; one observed faulty
+        // settles the disjunction at 1.
+        inputs.push((&base, evidence_for(&base, &[("root", 1), ("obs_a", 0)])));
+        inputs.push((&base, evidence_for(&base, &[("root", 0), ("obs_a", 0)])));
+        // A soft finding on an ancestor is kept under the healthy mask.
+        let mut soft = evidence_for(&base, &[("obs_a", 0), ("obs_b", 0)]);
+        soft.observe_likelihood(base.model().var("mid").unwrap(), vec![0.3, 0.7]);
+        inputs.push((&base, soft));
+        // An ancestor with no healthy state.
+        let mut all_fault = model();
+        all_fault.set_fault_states("root", &[0, 1]).unwrap();
+        let all_fault = compiled(&all_fault, expert());
+        inputs.push((&all_fault, evidence_for(&all_fault, &[("obs_a", 0)])));
+        // A failing obs_c that a healthy root cannot produce: holding the
+        // ancestors healthy is impossible evidence.
+        let mut e = expert();
+        e.cpt("obs_c", [[1.0, 0.0], [0.0, 1.0]]);
+        let deterministic = compiled(&m, e);
+        inputs.push((
+            &deterministic,
+            evidence_for(&deterministic, &[("obs_c", 0)]),
+        ));
+
+        let names: Vec<&str> = m
+            .spec()
+            .variables()
+            .iter()
+            .map(|v| v.name.as_str())
+            .collect();
+        let mut queries = 0;
+        for (c, ev) in &inputs {
+            with_round(c, ev, |round, ws| {
+                for &name in &names {
+                    let tree = (
+                        ancestor_fault_probability(round, ws, name).unwrap(),
+                        conditional_fault_expectation(round, name).unwrap(),
+                    );
+                    let want = oracle(c, ev, name);
+                    assert!(
+                        (tree.0 - want.0).abs() <= 1e-12 && (tree.1 - want.1).abs() <= 1e-12,
+                        "{name} under {ev:?}: tree {tree:?} vs VE {want:?}"
+                    );
+                    queries += 1;
+                }
+            });
+        }
+        assert_eq!(queries, inputs.len() * names.len());
+
+        // The three edge cases give exactly 1 with no error.
+        for (c, pairs, name) in [
+            (&base, [("root", 0), ("obs_a", 0)].as_slice(), "leaf_a"),
+            (&all_fault, [("obs_a", 0)].as_slice(), "leaf_a"),
+            (&deterministic, [("obs_c", 0)].as_slice(), "obs_c"),
+        ] {
+            let ev = evidence_for(c, pairs);
+            let p = with_round(c, &ev, |round, ws| {
+                ancestor_fault_probability(round, ws, name)
+            });
+            assert_eq!(p.unwrap(), 1.0, "{name} under {pairs:?}");
+        }
+
         // No latent ancestors -> zero.
-        let root =
-            ancestor_fault_probability(&m, &net, &ev, "root", &DeductionPolicy::default()).unwrap();
+        let ev = evidence_for(&base, &[("obs_a", 0), ("obs_b", 0)]);
+        let root = with_round(&base, &ev, |round, ws| {
+            ancestor_fault_probability(round, ws, "root").unwrap()
+        });
         assert_eq!(root, 0.0);
     }
 }

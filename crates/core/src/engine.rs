@@ -540,7 +540,6 @@ mod tests {
             faulty_threshold: 0.95,
             healthy_threshold: 0.95 - 1e-9,
             seed_with_best_ambiguous: false,
-            ..Default::default()
         };
         let eng = eng.with_policy(strict).unwrap();
         assert!((eng.policy().faulty_threshold - 0.95).abs() < 1e-12);

@@ -95,10 +95,7 @@ mod voi;
 
 pub use builder::{DiagnosticModel, ExpertKnowledge, LearnAlgorithm, LearnSummary, ModelBuilder};
 pub use conformance::{GoldenCorpus, ReplayCase, ReplayMismatch, ReplayOutcome};
-pub use deduce::{
-    ancestor_fault_probability, conditional_fault_expectation, deduce_candidates, Candidate,
-    DeductionPolicy, HealthClass,
-};
+pub use deduce::{Candidate, DeductionPolicy, HealthClass};
 pub use engine::{Diagnosis, DiagnosticEngine, Observation};
 pub use error::{Error, Result};
 pub use explain::FindingImpact;

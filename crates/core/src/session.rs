@@ -54,7 +54,7 @@
 //! ```
 
 use crate::builder::DiagnosticModel;
-use crate::deduce::{deduce_candidates, Candidate, DeductionPolicy, HealthClass};
+use crate::deduce::{deduce_candidates, Candidate, DeductionPolicy, HealthClass, Round};
 use crate::engine::{Diagnosis, Observation};
 use crate::error::{Error, Result};
 use crate::planner::{CostModel, LookaheadPlanner, Strategy};
@@ -545,6 +545,9 @@ pub struct CompiledModel {
     latents: Vec<(String, VarId)>,
     /// Observable variables, in spec order: the default test candidates.
     observables: Vec<(String, VarId)>,
+    /// The spec position of every network variable, indexed by
+    /// [`VarId::index`]: where a diagnosis keeps that variable's posterior.
+    spec_index: Vec<usize>,
 }
 
 impl CompiledModel {
@@ -570,12 +573,17 @@ impl CompiledModel {
             .iter()
             .map(|name| Ok((name.to_string(), model.var(name)?)))
             .collect::<Result<_>>()?;
+        let mut spec_index = vec![0; model.network().var_count()];
+        for (i, v) in model.circuit_model().spec().variables().iter().enumerate() {
+            spec_index[model.var(&v.name)?.index()] = i;
+        }
         Ok(CompiledModel {
             model,
             jt,
             policy: DeductionPolicy::default(),
             latents,
             observables,
+            spec_index,
         })
     }
 
@@ -624,6 +632,12 @@ impl CompiledModel {
     /// The observable variables `(name, id)`, in spec order.
     pub(crate) fn observable_vars(&self) -> &[(String, VarId)] {
         &self.observables
+    }
+
+    /// The spec position of `var`: the index of its entry in
+    /// [`Diagnosis::posteriors`].
+    pub(crate) fn spec_index(&self, var: VarId) -> usize {
+        self.spec_index[var.index()]
     }
 
     /// The latent block names, in spec order (the valid probe targets).
@@ -700,6 +714,10 @@ impl CompiledModel {
     /// carrying a per-session override go through
     /// [`CompiledModel::diagnose_with_policy_in`] instead.
     ///
+    /// Deduction's ancestor queries reuse `ws`, which is left holding the
+    /// last of them: re-propagate before reading it (as
+    /// [`DiagnosisSession::rank_actions`] does).
+    ///
     /// # Errors
     ///
     /// Propagates propagation errors, including
@@ -721,6 +739,9 @@ impl CompiledModel {
     /// walk); the posterior update is identical, so overriding it never
     /// recompiles or re-propagates anything extra.
     ///
+    /// Leaves `ws` holding deduction's last query, as
+    /// [`CompiledModel::diagnose_in`] does.
+    ///
     /// # Errors
     ///
     /// Same as [`CompiledModel::diagnose_in`].
@@ -732,6 +753,7 @@ impl CompiledModel {
         policy: &DeductionPolicy,
     ) -> Result<Diagnosis> {
         let cal = self.jt.propagate_in(ws, evidence).map_err(Error::Bbn)?;
+        let log_evidence = cal.log_likelihood();
 
         let circuit_model = self.model.circuit_model();
         let mut posteriors = Vec::new();
@@ -741,18 +763,13 @@ impl CompiledModel {
         }
 
         let mut fault_mass: BTreeMap<String, f64> = BTreeMap::new();
-        for name in circuit_model.latents() {
-            let dist = posteriors
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, d)| d.as_slice())
-                .expect("latents come from the same spec");
-            let mass: f64 = circuit_model
-                .fault_states(name)
-                .iter()
-                .filter_map(|&s| dist.get(s))
-                .sum();
-            fault_mass.insert(name.to_string(), mass);
+        for (name, id) in &self.latents {
+            let dist = &posteriors[self.spec_index(*id)].1;
+            let faults = circuit_model.fault_states(name);
+            fault_mass.insert(
+                name.clone(),
+                faults.iter().filter_map(|&s| dist.get(s)).sum(),
+            );
         }
         let classes: BTreeMap<String, HealthClass> = fault_mass
             .iter()
@@ -765,14 +782,13 @@ impl CompiledModel {
             .filter(|name| observables.contains(&name.as_str()))
             .cloned()
             .collect();
-        let candidates = deduce_candidates(
-            circuit_model,
-            self.model.network(),
+        let round = Round {
+            compiled: self,
             evidence,
-            &fault_mass,
-            &failing,
-            policy,
-        )?;
+            posteriors: &posteriors,
+            log_evidence,
+        };
+        let candidates = deduce_candidates(&round, ws, &fault_mass, &classes, &failing, policy)?;
 
         Ok(Diagnosis::from_parts(
             observation.clone(),
@@ -780,7 +796,7 @@ impl CompiledModel {
             fault_mass,
             classes,
             candidates,
-            cal.log_likelihood(),
+            log_evidence,
         ))
     }
 
@@ -2062,7 +2078,6 @@ mod tests {
             faulty_threshold: (top_mass + 0.01).min(0.99),
             healthy_threshold: 0.01,
             seed_with_best_ambiguous: false,
-            ..DeductionPolicy::default()
         };
         let mut strict_session =
             DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();

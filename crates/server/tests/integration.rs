@@ -14,7 +14,9 @@
 //!    one compilation happened at registry build time.
 
 use abbd_bbn::jointree_compile_count;
-use abbd_core::{CompiledModel, DecisionTrace, Observation, SessionReport, SessionRequest};
+use abbd_core::{
+    CompiledModel, DecisionTrace, DeductionPolicy, Observation, SessionReport, SessionRequest,
+};
 use abbd_designs::regulator::cases::{case_studies, CaseStudy};
 use abbd_designs::regulator::program::{suite_plans, SuitePlan, OBSERVED_VARS};
 use abbd_designs::regulator::{self};
@@ -293,4 +295,24 @@ fn stateless_endpoint_agrees_with_stored_sessions() {
     }
     let stored = drive_one_client(&fx);
     assert_eq!(stateless_bodies, stored.round_bodies);
+
+    // A deduction override from an older client, still carrying the
+    // since-removed joint-size cap, is served exactly as without it.
+    let mut request = SessionRequest::new(observation);
+    request.deduction = Some(DeductionPolicy::default());
+    let current = serde_json::to_string(&request).expect("request encodes");
+    let legacy = current.replace(
+        "\"seed_with_best_ambiguous\":true}",
+        "\"seed_with_best_ambiguous\":true,\"max_joint_cells\":65536}",
+    );
+    assert_ne!(legacy, current, "the override carries the legacy key");
+    let mut bodies = Vec::new();
+    for body in [&current, &legacy] {
+        let (status, reply) = client
+            .post("/v1/models/regulator/serve", body)
+            .expect("serve posts");
+        assert_eq!(status, 200, "serve failed: {reply}");
+        bodies.push(reply);
+    }
+    assert_eq!(bodies[0], bodies[1]);
 }

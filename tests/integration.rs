@@ -4,8 +4,9 @@
 
 use abbd::ate::{parse_datalog, write_datalog};
 use abbd::baselines::{accuracy_at_k, group_by_device, FaultDictionary, RandomGuess};
-use abbd::core::LearnAlgorithm;
-use abbd::designs::{hypothetical, regulator};
+use abbd::bbn::{VarId, VariableElimination};
+use abbd::core::{CompiledModel, DeductionPolicy, LearnAlgorithm, Observation};
+use abbd::designs::{board, hypothetical, regulator};
 use abbd::dlog2bbn::generate_cases;
 
 /// The headline reproduction: after the full §IV flow (70 simulated
@@ -266,4 +267,175 @@ fn diagnosis_is_reproducible() {
     let db = b.engine.diagnose(&case.observation()).expect("diagnosis b");
     assert_eq!(da.candidates(), db.candidates());
     assert_eq!(da.posteriors(), db.posteriors());
+}
+
+/// Variable-elimination oracle for a candidate's two exoneration values,
+/// `(ancestor fault probability, conditional fault expectation)`: the
+/// joint marginal over the latent ancestors, enumerated for the mass with
+/// every ancestor healthy, and the CPT row at the parents' VE posterior
+/// argmax (non-fault argmax for latent parents).
+fn deduction_oracle(
+    compiled: &CompiledModel,
+    evidence: &abbd::bbn::Evidence,
+    variable: &str,
+) -> (f64, f64) {
+    let m = compiled.model().circuit_model();
+    let net = compiled.model().network();
+    let ve = VariableElimination::new(net);
+    let ancestors = m.latent_ancestors(variable);
+    let p_anc = if ancestors.is_empty() {
+        0.0
+    } else {
+        let ids: Vec<VarId> = ancestors.iter().map(|a| net.var(a).unwrap()).collect();
+        let joint = ve.joint_marginal(evidence, &ids).expect("joint marginal");
+        let healthy: f64 = joint
+            .values()
+            .iter()
+            .enumerate()
+            .filter(|&(idx, _)| {
+                joint
+                    .assignment_of(idx)
+                    .iter()
+                    .zip(&ancestors)
+                    .all(|(s, a)| !m.fault_states(a).contains(s))
+            })
+            .map(|(_, p)| p)
+            .sum();
+        (1.0 - healthy).clamp(0.0, 1.0)
+    };
+    let var = net.var(variable).unwrap();
+    let parents = net.parents(var);
+    let p_cond = if parents.is_empty() {
+        0.0
+    } else {
+        let states: Vec<usize> = parents
+            .iter()
+            .map(|&p| {
+                evidence.state_of(p).unwrap_or_else(|| {
+                    let name = net.name(p);
+                    let faults = if m.latents().contains(&name) {
+                        m.fault_states(name)
+                    } else {
+                        Vec::new()
+                    };
+                    let post = ve.posterior(evidence, p).expect("posterior");
+                    (0..post.len())
+                        .filter(|i| !faults.contains(i))
+                        .max_by(|&a, &b| post[a].partial_cmp(&post[b]).unwrap())
+                        .unwrap_or(0)
+                })
+            })
+            .collect();
+        let row = net.cpt_row(var, &states).unwrap();
+        m.fault_states(variable).iter().map(|&s| row[s]).sum()
+    };
+    (p_anc, p_cond)
+}
+
+/// Checks every candidate deduction reports for `observations` against
+/// the VE oracle, under the compiled policy and under a permissive one
+/// (no exoneration short of certainty, every observed observable marked
+/// failing) that surfaces each suspect's and self-candidate's values.
+/// Returns the number of values compared and the largest difference.
+fn check_deduction_against_oracle(
+    compiled: &CompiledModel,
+    observations: &[Observation],
+) -> (usize, f64) {
+    let permissive = DeductionPolicy {
+        faulty_threshold: 1.0,
+        healthy_threshold: 0.0,
+        seed_with_best_ambiguous: true,
+    };
+    let observables: Vec<&str> = compiled.observable_names().collect();
+    let mut ws = compiled.make_workspace();
+    let mut compared = 0;
+    let mut worst = 0.0f64;
+    for observation in observations {
+        let mut all_failing = observation.clone();
+        for (name, _) in observation.iter() {
+            if observables.contains(&name) {
+                all_failing.mark_failing(name);
+            }
+        }
+        let evidence = compiled.evidence_from(observation).expect("evidence");
+        for (obs, policy) in [
+            (observation, compiled.policy()),
+            (&all_failing, &permissive),
+        ] {
+            let diagnosis = match compiled.diagnose_with_policy_in(&mut ws, obs, &evidence, policy)
+            {
+                Ok(d) => d,
+                Err(abbd::core::Error::Bbn(abbd::bbn::Error::ImpossibleEvidence)) => continue,
+                Err(e) => panic!("diagnosis failed: {e}"),
+            };
+            for c in diagnosis.candidates() {
+                let (p_anc, p_cond) = deduction_oracle(compiled, &evidence, &c.variable);
+                assert!(
+                    (c.ancestor_fault_probability - p_anc).abs() <= 1e-12,
+                    "{}: tree {} vs VE {p_anc}",
+                    c.variable,
+                    c.ancestor_fault_probability
+                );
+                assert!(
+                    (c.conditional_fault_expectation - p_cond).abs() <= 1e-12,
+                    "{}: tree {} vs VE {p_cond}",
+                    c.variable,
+                    c.conditional_fault_expectation
+                );
+                compared += 2;
+                worst = worst
+                    .max((c.ancestor_fault_probability - p_anc).abs())
+                    .max((c.conditional_fault_expectation - p_cond).abs());
+            }
+        }
+    }
+    (compared, worst)
+}
+
+/// Deduction answers its exoneration queries from the round's calibrated
+/// junction tree; on the fitted regulator (case studies d1–d5 plus the
+/// 70-device learning cases) and the flat 100-variable board (a dead
+/// driver in each of blocks 0–3) every reported value matches the VE
+/// oracle to 1e-12.
+#[test]
+fn deduction_matches_the_variable_elimination_oracle() {
+    let fitted = regulator::fit(70, 2010, regulator::default_algorithm()).expect("pipeline runs");
+    let mut observations: Vec<Observation> = regulator::cases::case_studies()
+        .iter()
+        .map(|case| case.observation())
+        .collect();
+    observations.extend(fitted.cases.iter().map(Observation::from));
+    let (compared, worst) = check_deduction_against_oracle(fitted.engine.compiled(), &observations);
+    println!("regulator: {compared} values, worst difference {worst:e}");
+    assert!(
+        compared >= 2 * observations.len(),
+        "{compared} values compared"
+    );
+
+    let config = board::BoardConfig::default();
+    let flat = CompiledModel::compile(board::flat_model(&config).expect("board builds"))
+        .expect("board compiles");
+    let controls = flat.model().circuit_model().controls();
+    let observables: Vec<&str> = flat.observable_names().collect();
+    let observations: Vec<Observation> = (0..4)
+        .map(|block| {
+            let scenario = board::d1_scenario(&config, block);
+            let mut observation = Observation::new();
+            for (name, &state) in &scenario.truth {
+                if controls.contains(&name.as_str()) || observables.contains(&name.as_str()) {
+                    observation.set(name.as_str(), state);
+                    if state == 0 && observables.contains(&name.as_str()) {
+                        observation.mark_failing(name.as_str());
+                    }
+                }
+            }
+            observation
+        })
+        .collect();
+    let (compared, worst) = check_deduction_against_oracle(&flat, &observations);
+    println!("board: {compared} values, worst difference {worst:e}");
+    assert!(
+        compared >= 2 * observations.len(),
+        "{compared} values compared"
+    );
 }
