@@ -20,13 +20,11 @@
 //!
 //! The classic methods ([`Factor::product`], [`Factor::divide`],
 //! [`Factor::marginalize_to`], ..) allocate their result; they are thin
-//! wrappers over shared stride-map kernels ([`self::strides`]). The hot
-//! paths use the in-place layer in [`self::ops`] instead —
-//! [`Factor::product_into`], [`Factor::mul_assign`], [`Factor::div_assign`],
-//! [`Factor::marginalize_into`] and the fused [`Factor::product_sum_out`] /
-//! [`Factor::product_all_sum_out`] — which write into caller-provided
-//! buffers and never touch the heap. See `ops` for the buffer-reuse
-//! contract.
+//! wrappers over shared stride-map kernels ([`self::strides`]). The in-place
+//! layer in [`self::ops`] — [`Factor::product_into`], [`Factor::div_assign`],
+//! [`Factor::marginalize_into`] and the fused
+//! [`Factor::product_all_sum_out`] — writes into caller-provided buffers
+//! instead. See `ops` for the buffer-reuse contract.
 
 mod ops;
 pub(crate) mod strides;
@@ -58,17 +56,6 @@ pub struct Factor {
     scope: Vec<VarId>,
     cards: Vec<usize>,
     values: Vec<f64>,
-}
-
-/// Result of maximising a variable out of a factor; keeps the argmax table
-/// needed for most-probable-explanation traceback.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaxOut {
-    /// The reduced factor over the remaining scope.
-    pub factor: Factor,
-    /// For every cell of `factor`, the state of the eliminated variable that
-    /// achieved the maximum.
-    pub argmax: Vec<usize>,
 }
 
 impl Factor {
@@ -126,37 +113,12 @@ impl Factor {
         })
     }
 
-    /// Crate-internal constructor for tables whose invariants are upheld by
-    /// construction (e.g. calibrated clique beliefs moved out of a
-    /// propagation workspace); skips re-validation.
-    pub(crate) fn from_parts_unchecked(
-        scope: Vec<VarId>,
-        cards: Vec<usize>,
-        values: Vec<f64>,
-    ) -> Self {
-        debug_assert_eq!(values.len(), cards.iter().product::<usize>().max(1));
-        Factor {
-            scope,
-            cards,
-            values,
-        }
-    }
-
     /// The multiplicative identity: an empty-scope factor holding `1.0`.
     pub fn unit() -> Self {
         Factor {
             scope: Vec::new(),
             cards: Vec::new(),
             values: vec![1.0],
-        }
-    }
-
-    /// A scalar factor holding `value`.
-    pub fn scalar(value: f64) -> Self {
-        Factor {
-            scope: Vec::new(),
-            cards: Vec::new(),
-            values: vec![value],
         }
     }
 
@@ -203,47 +165,6 @@ impl Factor {
     /// Row-major stride of the scope variable at `pos`.
     fn stride_at(&self, pos: usize) -> usize {
         strides::axis_stride(&self.cards, pos)
-    }
-
-    /// Row-major stride of `var`, or `None` if not in scope.
-    pub fn stride_of(&self, var: VarId) -> Option<usize> {
-        self.position(var).map(|p| self.stride_at(p))
-    }
-
-    /// Linear index of a full assignment (one state per scope variable).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::ShapeMismatch`] when `assignment` does not match the
-    /// scope arity, or [`Error::InvalidEvidence`] on an out-of-range state.
-    pub fn index_of(&self, assignment: &[usize]) -> Result<usize> {
-        if assignment.len() != self.scope.len() {
-            return Err(Error::ShapeMismatch {
-                expected: self.scope.len(),
-                actual: assignment.len(),
-            });
-        }
-        let mut idx = 0usize;
-        for (pos, &state) in assignment.iter().enumerate() {
-            if state >= self.cards[pos] {
-                return Err(Error::InvalidEvidence {
-                    variable: format!("{:?}", self.scope[pos]),
-                    reason: format!("state {state} out of range {}", self.cards[pos]),
-                });
-            }
-            idx = idx * self.cards[pos] + state;
-        }
-        Ok(idx)
-    }
-
-    /// The assignment (one state per scope variable) at linear index `idx`.
-    pub fn assignment_of(&self, mut idx: usize) -> Vec<usize> {
-        let mut out = vec![0usize; self.scope.len()];
-        for pos in (0..self.scope.len()).rev() {
-            out[pos] = idx % self.cards[pos];
-            idx /= self.cards[pos];
-        }
-        out
     }
 
     /// Pointwise product; the result scope is this factor's scope followed by
@@ -310,52 +231,6 @@ impl Factor {
             scope,
             cards,
             values,
-        })
-    }
-
-    /// Maximises `var` out of the factor, recording per-cell argmax states.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotInScope`] if `var` is not in the scope.
-    pub fn max_out(&self, var: VarId) -> Result<MaxOut> {
-        let pos = self
-            .position(var)
-            .ok_or_else(|| Error::NotInScope(format!("{var:?}")))?;
-        let card = self.cards[pos];
-        let suffix = self.stride_at(pos);
-        let prefix_count = self.values.len() / (card * suffix);
-
-        let mut scope = self.scope.clone();
-        let mut cards = self.cards.clone();
-        scope.remove(pos);
-        cards.remove(pos);
-        let mut values = vec![0.0; prefix_count * suffix];
-        let mut argmax = vec![0usize; prefix_count * suffix];
-        for p in 0..prefix_count {
-            let in_base = p * card * suffix;
-            let out_base = p * suffix;
-            for s in 0..suffix {
-                let mut best = f64::NEG_INFINITY;
-                let mut best_k = 0usize;
-                for k in 0..card {
-                    let v = self.values[in_base + k * suffix + s];
-                    if v > best {
-                        best = v;
-                        best_k = k;
-                    }
-                }
-                values[out_base + s] = best;
-                argmax[out_base + s] = best_k;
-            }
-        }
-        Ok(MaxOut {
-            factor: Factor {
-                scope,
-                cards,
-                values,
-            },
-            argmax,
         })
     }
 
@@ -577,17 +452,6 @@ mod tests {
     }
 
     #[test]
-    fn index_assignment_roundtrip() {
-        let f = fab();
-        for idx in 0..f.len() {
-            let a = f.assignment_of(idx);
-            assert_eq!(f.index_of(&a).unwrap(), idx);
-        }
-        assert!(f.index_of(&[0]).is_err());
-        assert!(f.index_of(&[0, 3]).is_err());
-    }
-
-    #[test]
     fn product_matches_manual() {
         // f(A) * g(B) = outer product.
         let f = Factor::new(vec![v(0)], vec![2], vec![0.3, 0.7]).unwrap();
@@ -657,15 +521,6 @@ mod tests {
         assert_eq!(b2.values(), &[0.3, 0.6]);
         assert!(f.condition(v(1), 3).is_err());
         assert!(f.condition(v(7), 0).is_err());
-    }
-
-    #[test]
-    fn max_out_tracks_argmax() {
-        let f = fab();
-        let m = f.max_out(v(0)).unwrap();
-        assert_eq!(m.factor.scope(), &[v(1)]);
-        assert_eq!(m.factor.values(), &[0.4, 0.5, 0.6]);
-        assert_eq!(m.argmax, vec![1, 1, 1]);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! overwritten, so a reused buffer needs no clearing between calls.
 
 use super::strides::{
-    div_broadcast_kernel, marginalize_kernel, mul_broadcast_kernel, product_accumulate_kernel,
+    div_broadcast_kernel, marginalize_kernel, product_accumulate_kernel,
     product_all_accumulate_kernel, table_len,
 };
 use super::Factor;
@@ -107,25 +107,6 @@ impl Factor {
         Ok(())
     }
 
-    /// Multiplies `other` into this factor in place. `other`'s scope must
-    /// be a subset of this factor's scope (it broadcasts over the rest);
-    /// the scope does not change and nothing is allocated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotInScope`] if `other` mentions a variable absent
-    /// from this factor.
-    pub fn mul_assign(&mut self, other: &Factor) -> Result<()> {
-        for v in &other.scope {
-            if !self.contains(*v) {
-                return Err(Error::NotInScope(format!("{v:?}")));
-            }
-        }
-        let m_str = other.strides_aligned_to(&self.scope);
-        mul_broadcast_kernel(&self.cards, &mut self.values, &other.values, &m_str);
-        Ok(())
-    }
-
     /// Divides this factor by `other` in place (`0 / 0 = 0`, the junction
     /// tree convention). `other`'s scope must be a subset of this factor's
     /// scope; nothing is allocated.
@@ -143,42 +124,6 @@ impl Factor {
         let m_str = other.strides_aligned_to(&self.scope);
         div_broadcast_kernel(&self.cards, &mut self.values, &other.values, &m_str);
         Ok(())
-    }
-
-    /// Fused `self.product(other).sum_out(var)` that never materialises the
-    /// joint table: one pass over the joint index space accumulating
-    /// directly into the reduced result.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotInScope`] when `var` is in neither scope.
-    pub fn product_sum_out(&self, other: &Factor, var: VarId) -> Result<Factor> {
-        if !self.contains(var) && !other.contains(var) {
-            return Err(Error::NotInScope(format!("{var:?}")));
-        }
-        let (scope, cards) = self.union_shape(other);
-        let mut out_scope = Vec::with_capacity(scope.len() - 1);
-        let mut out_cards = Vec::with_capacity(scope.len() - 1);
-        for (pos, &v) in scope.iter().enumerate() {
-            if v != var {
-                out_scope.push(v);
-                out_cards.push(cards[pos]);
-            }
-        }
-        let mut out = Factor::with_shape(out_scope, out_cards)?;
-        let a_str = self.strides_aligned_to(&scope);
-        let b_str = other.strides_aligned_to(&scope);
-        let out_str = out.strides_aligned_to(&scope);
-        product_accumulate_kernel(
-            &cards,
-            &self.values,
-            &a_str,
-            &other.values,
-            &b_str,
-            &out_str,
-            &mut out.values,
-        );
-        Ok(out)
     }
 
     /// Multiplies a whole bucket of factors and sums `var` out in a single
@@ -293,18 +238,6 @@ mod tests {
     }
 
     #[test]
-    fn mul_assign_matches_product_on_subset() {
-        let mut f = fab();
-        let g = Factor::new(vec![v(1)], vec![3], vec![2.0, 0.0, 1.0]).unwrap();
-        let expect = f.product(&g);
-        f.mul_assign(&g).unwrap();
-        assert_close(&f, &expect);
-        // Superset scope is rejected.
-        let h = Factor::new(vec![v(7)], vec![2], vec![1.0, 1.0]).unwrap();
-        assert!(f.mul_assign(&h).is_err());
-    }
-
-    #[test]
     fn div_assign_matches_divide() {
         let f = fab();
         let g = Factor::new(vec![v(1)], vec![3], vec![0.5, 0.0, 2.0]).unwrap();
@@ -312,21 +245,6 @@ mod tests {
         let mut h = f.clone();
         h.div_assign(&g).unwrap();
         assert_close(&h, &expect);
-    }
-
-    #[test]
-    fn product_sum_out_matches_two_step() {
-        let f = fab();
-        let g = Factor::new(
-            vec![v(1), v(2)],
-            vec![3, 2],
-            vec![0.5, 0.5, 0.1, 0.9, 0.3, 0.7],
-        )
-        .unwrap();
-        let fused = f.product_sum_out(&g, v(1)).unwrap();
-        let two_step = f.product(&g).sum_out(v(1)).unwrap();
-        assert_close(&fused, &two_step);
-        assert!(f.product_sum_out(&g, v(9)).is_err());
     }
 
     #[test]

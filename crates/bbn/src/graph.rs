@@ -1,35 +1,25 @@
-//! Graph algorithms over network structure: moralisation, elimination
-//! orderings, ancestor queries and d-separation.
+//! Graph algorithms over network structure: moralisation and min-fill
+//! elimination orderings.
 
-use crate::network::{Network, VarId};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use crate::network::Network;
+use std::collections::BTreeSet;
 
 /// An undirected graph over the network's variables, as adjacency sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UndirectedGraph {
+#[derive(Debug, Clone)]
+pub(crate) struct UndirectedGraph {
     adj: Vec<BTreeSet<usize>>,
 }
 
 impl UndirectedGraph {
     /// An edgeless graph over `n` vertices.
-    pub fn empty(n: usize) -> Self {
+    pub(crate) fn empty(n: usize) -> Self {
         UndirectedGraph {
             adj: vec![BTreeSet::new(); n],
         }
     }
 
-    /// Number of vertices.
-    pub fn len(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// `true` when the graph has no vertices.
-    pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
-    }
-
     /// Adds an undirected edge (self-loops are ignored).
-    pub fn add_edge(&mut self, a: usize, b: usize) {
+    pub(crate) fn add_edge(&mut self, a: usize, b: usize) {
         if a != b {
             self.adj[a].insert(b);
             self.adj[b].insert(a);
@@ -37,24 +27,19 @@ impl UndirectedGraph {
     }
 
     /// `true` when `a` and `b` are adjacent.
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn has_edge(&self, a: usize, b: usize) -> bool {
         self.adj[a].contains(&b)
     }
 
     /// The neighbour set of `a`.
-    pub fn neighbors(&self, a: usize) -> &BTreeSet<usize> {
+    pub(crate) fn neighbors(&self, a: usize) -> &BTreeSet<usize> {
         &self.adj[a]
-    }
-
-    /// Total number of undirected edges.
-    pub fn edge_count(&self) -> usize {
-        self.adj.iter().map(|s| s.len()).sum::<usize>() / 2
     }
 
     /// Eliminates vertex `v`: marries all of its neighbours pairwise
     /// (fill-in), then removes `v` and its incident edges. This is the core
     /// step of triangulation; the fill-in edges make the final graph chordal.
-    pub fn eliminate(&mut self, v: usize) {
+    pub(crate) fn eliminate(&mut self, v: usize) {
         let nbrs: Vec<usize> = self.adj[v].iter().copied().collect();
         for (i, a) in nbrs.iter().enumerate() {
             for b in &nbrs[i + 1..] {
@@ -70,7 +55,7 @@ impl UndirectedGraph {
 
 /// The moral graph: parents of a common child are married, directions
 /// dropped. This is the first step of junction-tree compilation.
-pub fn moral_graph(net: &Network) -> UndirectedGraph {
+pub(crate) fn moral_graph(net: &Network) -> UndirectedGraph {
     let n = net.var_count();
     let mut g = UndirectedGraph::empty(n);
     for v in net.variables() {
@@ -87,69 +72,24 @@ pub fn moral_graph(net: &Network) -> UndirectedGraph {
     g
 }
 
-/// Heuristics for choosing an elimination ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderingHeuristic {
-    /// Eliminate the vertex introducing the fewest fill-in edges (ties by
-    /// smaller resulting clique). Usually the best choice.
-    #[default]
-    MinFill,
-    /// Eliminate the vertex with the fewest neighbours.
-    MinDegree,
-    /// Reverse topological order (children first); cheap but often poor.
-    ReverseTopological,
-}
-
-/// Computes an elimination ordering of `targets` (vertex indices) on an
-/// undirected graph, using the given heuristic. The graph is not modified;
-/// fill-in is simulated internally.
-pub fn elimination_order(
-    graph: &UndirectedGraph,
-    targets: &[usize],
-    heuristic: OrderingHeuristic,
-    topo_hint: &[usize],
-) -> Vec<usize> {
-    match heuristic {
-        OrderingHeuristic::ReverseTopological => {
-            let set: HashSet<usize> = targets.iter().copied().collect();
-            let mut order: Vec<usize> = topo_hint
-                .iter()
-                .copied()
-                .filter(|i| set.contains(i))
-                .collect();
-            order.reverse();
-            // Any targets missing from the hint go last, in index order.
-            for &t in targets {
-                if !order.contains(&t) {
-                    order.push(t);
-                }
-            }
-            order
-        }
-        OrderingHeuristic::MinFill | OrderingHeuristic::MinDegree => {
-            let mut work = graph.clone();
-            let mut remaining: BTreeSet<usize> = targets.iter().copied().collect();
-            let mut order = Vec::with_capacity(remaining.len());
-            while !remaining.is_empty() {
-                let best = *remaining
-                    .iter()
-                    .min_by_key(|&&v| match heuristic {
-                        OrderingHeuristic::MinFill => {
-                            (fill_in_count(&work, v), work.neighbors(v).len(), v)
-                        }
-                        OrderingHeuristic::MinDegree => {
-                            (work.neighbors(v).len(), fill_in_count(&work, v), v)
-                        }
-                        OrderingHeuristic::ReverseTopological => unreachable!(),
-                    })
-                    .expect("remaining is non-empty");
-                eliminate_vertex(&mut work, best);
-                remaining.remove(&best);
-                order.push(best);
-            }
-            order
-        }
+/// Computes a min-fill elimination ordering of `targets` (vertex indices)
+/// on an undirected graph: each step eliminates the vertex introducing the
+/// fewest fill-in edges, ties broken by smaller degree, then by index. The
+/// graph is not modified; fill-in is simulated internally.
+pub(crate) fn elimination_order(graph: &UndirectedGraph, targets: &[usize]) -> Vec<usize> {
+    let mut work = graph.clone();
+    let mut remaining: BTreeSet<usize> = targets.iter().copied().collect();
+    let mut order = Vec::with_capacity(remaining.len());
+    while !remaining.is_empty() {
+        let best = *remaining
+            .iter()
+            .min_by_key(|&&v| (fill_in_count(&work, v), work.neighbors(v).len(), v))
+            .expect("remaining is non-empty");
+        work.eliminate(best);
+        remaining.remove(&best);
+        order.push(best);
     }
+    order
 }
 
 /// Number of fill-in edges that eliminating `v` would introduce.
@@ -164,106 +104,6 @@ fn fill_in_count(g: &UndirectedGraph, v: usize) -> usize {
         }
     }
     count
-}
-
-/// Connects all neighbours of `v` pairwise, then removes `v` from the graph.
-fn eliminate_vertex(g: &mut UndirectedGraph, v: usize) {
-    g.eliminate(v);
-}
-
-/// All ancestors of `vars` (excluding the variables themselves unless they
-/// are ancestors of one another).
-pub fn ancestors(net: &Network, vars: &[VarId]) -> HashSet<VarId> {
-    let mut out = HashSet::new();
-    let mut stack: Vec<VarId> = vars.to_vec();
-    while let Some(v) = stack.pop() {
-        for &p in net.parents(v) {
-            if out.insert(p) {
-                stack.push(p);
-            }
-        }
-    }
-    out
-}
-
-/// All descendants of `var` (excluding `var` itself).
-pub fn descendants(net: &Network, var: VarId) -> HashSet<VarId> {
-    let mut out = HashSet::new();
-    let mut stack = vec![var];
-    while let Some(v) = stack.pop() {
-        for &c in net.children(v) {
-            if out.insert(c) {
-                stack.push(c);
-            }
-        }
-    }
-    out
-}
-
-/// Tests whether `x` and `y` are d-separated given conditioning set `z`,
-/// using the reachability ("Bayes ball") algorithm of Koller & Friedman
-/// (Alg. 3.1): `true` means every active trail is blocked, i.e.
-/// `X ⟂ Y | Z` holds in *every* distribution that factorises over the DAG.
-pub fn d_separated(net: &Network, x: VarId, y: VarId, z: &[VarId]) -> bool {
-    if x == y {
-        return false;
-    }
-    let zset: HashSet<VarId> = z.iter().copied().collect();
-    if zset.contains(&x) || zset.contains(&y) {
-        // Conditioning on an endpoint blocks everything by convention.
-        return true;
-    }
-    // Phase 1: ancestors of Z (needed for v-structure activation).
-    let mut z_ancestors = ancestors(net, z);
-    for &v in z {
-        z_ancestors.insert(v);
-    }
-    // Phase 2: BFS over (node, direction) states. Direction `Up` means we
-    // arrived from a child (travelling towards parents), `Down` from a
-    // parent (travelling towards children).
-    #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-    enum Dir {
-        Up,
-        Down,
-    }
-    let mut visited: HashSet<(VarId, Dir)> = HashSet::new();
-    let mut queue: VecDeque<(VarId, Dir)> = VecDeque::new();
-    queue.push_back((x, Dir::Up));
-    while let Some((v, dir)) = queue.pop_front() {
-        if !visited.insert((v, dir)) {
-            continue;
-        }
-        if v == y {
-            return false; // reached Y via an active trail
-        }
-        let in_z = zset.contains(&v);
-        match dir {
-            Dir::Up => {
-                if !in_z {
-                    for &p in net.parents(v) {
-                        queue.push_back((p, Dir::Up));
-                    }
-                    for &c in net.children(v) {
-                        queue.push_back((c, Dir::Down));
-                    }
-                }
-            }
-            Dir::Down => {
-                if !in_z {
-                    for &c in net.children(v) {
-                        queue.push_back((c, Dir::Down));
-                    }
-                }
-                if z_ancestors.contains(&v) {
-                    // v-structure: observed descendant activates the trail.
-                    for &p in net.parents(v) {
-                        queue.push_back((p, Dir::Up));
-                    }
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -305,7 +145,8 @@ mod tests {
         assert!(g.has_edge(c, s));
         assert!(g.has_edge(c, r));
         assert!(!g.has_edge(c, w));
-        assert_eq!(g.edge_count(), 5);
+        let degrees: usize = (0..net.var_count()).map(|v| g.neighbors(v).len()).sum();
+        assert_eq!(degrees, 2 * 5, "five undirected edges");
     }
 
     #[test]
@@ -313,17 +154,9 @@ mod tests {
         let net = sprinkler();
         let g = moral_graph(&net);
         let targets: Vec<usize> = (0..net.var_count()).collect();
-        let topo: Vec<usize> = net.topological_order().iter().map(|v| v.index()).collect();
-        for h in [
-            OrderingHeuristic::MinFill,
-            OrderingHeuristic::MinDegree,
-            OrderingHeuristic::ReverseTopological,
-        ] {
-            let order = elimination_order(&g, &targets, h, &topo);
-            let mut sorted = order.clone();
-            sorted.sort_unstable();
-            assert_eq!(sorted, targets, "{h:?} must be a permutation of targets");
-        }
+        let mut sorted = elimination_order(&g, &targets);
+        sorted.sort_unstable();
+        assert_eq!(sorted, targets, "order must be a permutation of targets");
     }
 
     #[test]
@@ -332,56 +165,18 @@ mod tests {
         let mut g = UndirectedGraph::empty(3);
         g.add_edge(0, 1);
         g.add_edge(1, 2);
-        let order = elimination_order(&g, &[0, 1, 2], OrderingHeuristic::MinFill, &[]);
+        let order = elimination_order(&g, &[0, 1, 2]);
         assert_ne!(order[0], 1, "middle vertex has fill-in, must not go first");
-    }
-
-    #[test]
-    fn ancestors_and_descendants() {
-        let net = sprinkler();
-        let c = net.var("cloudy").unwrap();
-        let w = net.var("wet").unwrap();
-        let anc = ancestors(&net, &[w]);
-        assert_eq!(anc.len(), 3);
-        assert!(anc.contains(&c));
-        let desc = descendants(&net, c);
-        assert_eq!(desc.len(), 3);
-        assert!(desc.contains(&w));
-        assert!(descendants(&net, w).is_empty());
-    }
-
-    #[test]
-    fn d_separation_sprinkler_facts() {
-        let net = sprinkler();
-        let c = net.var("cloudy").unwrap();
-        let s = net.var("sprinkler").unwrap();
-        let r = net.var("rain").unwrap();
-        let w = net.var("wet").unwrap();
-
-        // Marginally, sprinkler and rain are dependent through cloudy.
-        assert!(!d_separated(&net, s, r, &[]));
-        // Conditioning on cloudy separates them (no common effect observed).
-        assert!(d_separated(&net, s, r, &[c]));
-        // Observing the common effect re-activates the v-structure.
-        assert!(!d_separated(&net, s, r, &[c, w]));
-        // Cloudy and wet are dependent, but blocked by both middle nodes.
-        assert!(!d_separated(&net, c, w, &[]));
-        assert!(!d_separated(&net, c, w, &[s]));
-        assert!(d_separated(&net, c, w, &[s, r]));
-        // Self and endpoint conventions.
-        assert!(!d_separated(&net, c, c, &[]));
-        assert!(d_separated(&net, c, w, &[w]));
     }
 
     #[test]
     fn undirected_graph_basics() {
         let mut g = UndirectedGraph::empty(3);
-        assert!(g.is_empty() || g.len() == 3);
         g.add_edge(0, 0); // ignored
-        assert_eq!(g.edge_count(), 0);
+        assert!(g.neighbors(0).is_empty());
         g.add_edge(0, 2);
         g.add_edge(0, 2); // idempotent
-        assert_eq!(g.edge_count(), 1);
         assert_eq!(g.neighbors(0).len(), 1);
+        assert!(g.has_edge(2, 0));
     }
 }

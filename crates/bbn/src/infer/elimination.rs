@@ -1,10 +1,10 @@
 //! Exact inference by variable elimination (sum-product message passing on
-//! the factor list), with configurable elimination-ordering heuristics.
+//! the factor list) in min-fill order.
 
 use crate::error::{Error, Result};
 use crate::evidence::Evidence;
 use crate::factor::Factor;
-use crate::graph::{elimination_order, OrderingHeuristic, UndirectedGraph};
+use crate::graph::{elimination_order, UndirectedGraph};
 use crate::infer::Posteriors;
 use crate::network::{Network, VarId};
 
@@ -37,21 +37,12 @@ use crate::network::{Network, VarId};
 #[derive(Debug, Clone)]
 pub struct VariableElimination<'a> {
     net: &'a Network,
-    heuristic: OrderingHeuristic,
 }
 
 impl<'a> VariableElimination<'a> {
-    /// Creates an engine with the default min-fill ordering heuristic.
+    /// Creates an engine that eliminates in min-fill order.
     pub fn new(net: &'a Network) -> Self {
-        VariableElimination {
-            net,
-            heuristic: OrderingHeuristic::MinFill,
-        }
-    }
-
-    /// Creates an engine with an explicit ordering heuristic.
-    pub fn with_heuristic(net: &'a Network, heuristic: OrderingHeuristic) -> Self {
-        VariableElimination { net, heuristic }
+        VariableElimination { net }
     }
 
     /// The posterior distribution of `var` given `evidence`.
@@ -180,13 +171,7 @@ impl<'a> VariableElimination<'a> {
                 }
             }
         }
-        let topo: Vec<usize> = self
-            .net
-            .topological_order()
-            .iter()
-            .map(|v| v.index())
-            .collect();
-        let order = elimination_order(&graph, &to_eliminate, self.heuristic, &topo);
+        let order = elimination_order(&graph, &to_eliminate);
 
         for idx in order {
             let var = VarId::from_index(idx);
@@ -292,8 +277,9 @@ mod tests {
         let j = ve.joint_marginal(&Evidence::new(), &[r, s]).unwrap();
         assert_eq!(j.scope(), &[r, s]);
         assert!((j.total() - 1.0).abs() < 1e-10);
-        // P(s=1, r=1) = sum_c P(c) P(s=1|c) P(r=1|c) = .5*.5*.2 + .5*.1*.8
-        let p11 = j.values()[j.index_of(&[1, 1]).unwrap()];
+        // P(s=1, r=1) = sum_c P(c) P(s=1|c) P(r=1|c) = .5*.5*.2 + .5*.1*.8;
+        // both binary with `s` fastest, so (r=1, s=1) is the last cell.
+        let p11 = j.values()[3];
         assert!((p11 - (0.5 * 0.5 * 0.2 + 0.5 * 0.1 * 0.8)).abs() < 1e-10);
     }
 
@@ -316,24 +302,6 @@ mod tests {
         }
         assert!((p - expect).abs() < 1e-10);
         assert!((ve.log_likelihood(&e).unwrap() - expect.ln()).abs() < 1e-10);
-    }
-
-    #[test]
-    fn all_heuristics_agree() {
-        let net = sprinkler();
-        let wet = net.var("wet").unwrap();
-        let mut e = Evidence::new();
-        e.observe(wet, 1);
-        let exact = enumerate_posteriors(&net, &e).unwrap();
-        for h in [
-            OrderingHeuristic::MinFill,
-            OrderingHeuristic::MinDegree,
-            OrderingHeuristic::ReverseTopological,
-        ] {
-            let ve = VariableElimination::with_heuristic(&net, h);
-            let got = ve.all_posteriors(&e).unwrap();
-            assert!(got.max_abs_diff(&exact).unwrap() < 1e-10, "heuristic {h:?}");
-        }
     }
 
     #[test]

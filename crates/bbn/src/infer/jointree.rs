@@ -12,10 +12,9 @@
 //! separators, per-variable evidence-entry slots, and the evidence-free
 //! clique potentials (the product of every assigned CPT, stored once).
 //!
-//! [`JunctionTree::propagate`] is then a flat loop over that schedule. With
-//! a reusable [`PropagationWorkspace`] (see
-//! [`JunctionTree::propagate_in`]) a query performs **zero heap
-//! allocations**: clique beliefs are `memcpy`-restored from the compiled
+//! [`JunctionTree::propagate_in`] is then a flat loop over that schedule
+//! through a reusable [`PropagationWorkspace`], and a query performs **zero
+//! heap allocations**: clique beliefs are `memcpy`-restored from the compiled
 //! base tables, evidence is entered by scaling axes in place, and every
 //! message lands in a preallocated separator buffer. Evidence changes
 //! therefore re-propagate incrementally — nothing structural is rebuilt,
@@ -32,7 +31,7 @@ use crate::factor::strides::{
     retain_state_kernel, scale_axis_kernel, table_len,
 };
 use crate::factor::Factor;
-use crate::graph::{elimination_order, moral_graph, OrderingHeuristic};
+use crate::graph::{elimination_order, moral_graph};
 use crate::infer::Posteriors;
 use crate::network::{Network, VarId};
 use rayon::prelude::*;
@@ -40,7 +39,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 thread_local! {
-    /// Per-thread count of [`JunctionTree::compile_with`] invocations.
+    /// Per-thread count of [`JunctionTree::compile`] invocations.
     ///
     /// Compilation is the expensive structural step (triangulation, clique
     /// extraction, schedule building) that serving paths must do exactly
@@ -60,17 +59,6 @@ thread_local! {
 /// process.
 pub fn compile_count() -> u64 {
     COMPILE_CALLS.with(Cell::get)
-}
-
-/// Size statistics of a compiled junction tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JunctionTreeStats {
-    /// Number of cliques.
-    pub cliques: usize,
-    /// Largest clique width (variable count).
-    pub max_clique_width: usize,
-    /// Sum of clique table sizes (cells).
-    pub total_table_size: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -123,7 +111,7 @@ struct EvidenceSlot {
 /// cliques, connects them by a maximum-spanning tree over sepset sizes, and
 /// compiles the flat propagation schedule (see the module docs). The tree
 /// owns a clone of the network plus the evidence-free clique potentials;
-/// [`JunctionTree::propagate`] only touches preallocated tables.
+/// [`JunctionTree::propagate_in`] only touches preallocated tables.
 ///
 /// # Examples
 ///
@@ -140,8 +128,8 @@ struct EvidenceSlot {
 ///
 /// let mut e = Evidence::new();
 /// e.observe(y, 1);
-/// let calibrated = jt.propagate(&e)?;
-/// let px = calibrated.posterior(x)?;
+/// let mut ws = jt.make_workspace();
+/// let px = jt.propagate_in(&mut ws, &e)?.posterior(x)?;
 /// assert!(px[1] > 0.8); // y=1 strongly suggests x=1
 /// # Ok(())
 /// # }
@@ -167,8 +155,6 @@ pub struct JunctionTree {
 struct Schedule {
     cliques: Vec<Clique>,
     edges: Vec<TreeEdge>,
-    /// For each clique, its tree neighbours as `(clique index, edge index)`.
-    neighbors: Vec<Vec<(usize, usize)>>,
     /// For each variable, the clique containing its whole family.
     family_clique: Vec<usize>,
     /// For each variable, the smallest clique containing it.
@@ -191,21 +177,11 @@ impl JunctionTree {
     /// Propagates factor-shape errors; compilation itself cannot fail on a
     /// validated [`Network`].
     pub fn compile(net: &Network) -> Result<Self> {
-        Self::compile_with(net, OrderingHeuristic::MinFill)
-    }
-
-    /// Compiles with an explicit triangulation heuristic.
-    ///
-    /// # Errors
-    ///
-    /// See [`JunctionTree::compile`].
-    pub fn compile_with(net: &Network, heuristic: OrderingHeuristic) -> Result<Self> {
         COMPILE_CALLS.with(|c| c.set(c.get() + 1));
         let n = net.var_count();
         let moral = moral_graph(net);
         let all: Vec<usize> = (0..n).collect();
-        let topo: Vec<usize> = net.topological_order().iter().map(|v| v.index()).collect();
-        let order = elimination_order(&moral, &all, heuristic, &topo);
+        let order = elimination_order(&moral, &all);
 
         // Elimination cliques: {v} ∪ current neighbours at elimination time.
         let mut work = moral.clone();
@@ -361,7 +337,6 @@ impl JunctionTree {
             sched: Arc::new(Schedule {
                 cliques,
                 edges,
-                neighbors,
                 family_clique,
                 home_clique,
                 slots,
@@ -416,58 +391,6 @@ impl JunctionTree {
         let sched = Arc::make_mut(&mut self.sched);
         sched.base = compile_base(&self.net, &sched.cliques, &sched.family_clique);
         Ok(())
-    }
-
-    /// The clique scopes, in compilation order.
-    pub fn clique_scopes(&self) -> Vec<Vec<VarId>> {
-        self.sched.cliques.iter().map(|c| c.scope.clone()).collect()
-    }
-
-    /// Renders the clique tree in Graphviz DOT syntax (cliques as nodes,
-    /// sepsets as edge labels); handy when documenting a compiled model.
-    pub fn to_dot(&self) -> String {
-        let label = |c: &Clique| {
-            c.scope
-                .iter()
-                .map(|v| self.net.name(*v))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let mut out = String::from("graph jointree {\n");
-        for (i, c) in self.sched.cliques.iter().enumerate() {
-            out.push_str(&format!("  c{i} [label=\"{{{}}}\"];\n", label(c)));
-        }
-        for e in &self.sched.edges {
-            let sep = e
-                .sepset
-                .iter()
-                .map(|v| self.net.name(*v))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!("  c{} -- c{} [label=\"{sep}\"];\n", e.a, e.b));
-        }
-        out.push_str("}\n");
-        out
-    }
-
-    /// Tree degree of clique `i` (number of neighbours).
-    pub fn clique_degree(&self, i: usize) -> usize {
-        self.sched.neighbors.get(i).map_or(0, |n| n.len())
-    }
-
-    /// Size statistics of the compiled tree.
-    pub fn stats(&self) -> JunctionTreeStats {
-        JunctionTreeStats {
-            cliques: self.sched.cliques.len(),
-            max_clique_width: self
-                .sched
-                .cliques
-                .iter()
-                .map(|c| c.scope.len())
-                .max()
-                .unwrap_or(0),
-            total_table_size: self.sched.cliques.iter().map(|c| c.len).sum(),
-        }
     }
 
     /// Allocates a propagation workspace sized for this tree. Create one
@@ -625,7 +548,7 @@ impl JunctionTree {
     }
 
     /// The propagation body shared by [`JunctionTree::propagate_in`] and
-    /// [`JunctionTree::propagate`].
+    /// [`JunctionTree::propagate_hypotheticals_in`].
     fn propagate_ws(
         &self,
         ws: &mut PropagationWorkspace,
@@ -734,39 +657,13 @@ impl JunctionTree {
         Ok(())
     }
 
-    /// Runs a full Hugin propagation under the given evidence, returning
-    /// calibrated clique beliefs that own their tables. This is the
-    /// convenience wrapper over [`JunctionTree::propagate_in`]; it
-    /// allocates one fresh workspace per call, so prefer `propagate_in`
-    /// (or [`JunctionTree::posteriors_batch`]) in query loops.
+    /// Convenience wrapper: propagate through a fresh workspace and extract
+    /// all posterior marginals. Allocates per call; query loops reuse one
+    /// workspace with [`JunctionTree::propagate_in`] instead.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::ImpossibleEvidence`] when `P(e) = 0`, plus evidence
-    /// validation errors.
-    pub fn propagate(&self, evidence: &Evidence) -> Result<CalibratedTree<'_>> {
-        let mut ws = self.make_workspace();
-        self.propagate_ws(&mut ws, evidence, &[])?;
-        let beliefs = ws
-            .beliefs
-            .into_iter()
-            .zip(&self.sched.cliques)
-            .map(|(values, c)| {
-                Factor::from_parts_unchecked(c.scope.clone(), c.cards.clone(), values)
-            })
-            .collect();
-        Ok(CalibratedTree {
-            tree: self,
-            beliefs,
-            log_likelihood: ws.log_likelihood,
-        })
-    }
-
-    /// Convenience wrapper: propagate and extract all posterior marginals.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JunctionTree::propagate`].
+    /// Same as [`JunctionTree::propagate_in`].
     pub fn posteriors(&self, evidence: &Evidence) -> Result<Posteriors> {
         let mut ws = self.make_workspace();
         self.propagate_in(&mut ws, evidence)?.all_posteriors()
@@ -795,7 +692,7 @@ impl JunctionTree {
     ///
     /// # Errors
     ///
-    /// Same as [`JunctionTree::propagate`].
+    /// Same as [`JunctionTree::propagate_in`].
     pub fn propagate_baseline(&self, evidence: &Evidence) -> Result<CalibratedTree<'_>> {
         evidence.validate(&self.net)?;
 
@@ -1042,8 +939,12 @@ impl CalibratedView<'_, '_> {
     ///
     /// # Errors
     ///
-    /// Returns factor-shape errors (the family always fits one clique).
+    /// Returns [`Error::UnknownVariable`] for out-of-range handles, plus
+    /// factor-shape errors (the family always fits one clique).
     pub fn family_marginal(&self, var: VarId) -> Result<Factor> {
+        if var.index() >= self.tree.net.var_count() {
+            return Err(Error::UnknownVariable(format!("{var}")));
+        }
         let ci = self.tree.sched.family_clique[var.index()];
         let clique = &self.tree.sched.cliques[ci];
         let fam = self.tree.net.family(var);
@@ -1061,7 +962,8 @@ impl CalibratedView<'_, '_> {
     }
 }
 
-/// The result of a Hugin propagation: calibrated clique beliefs plus the
+/// The result of the reference propagation
+/// [`JunctionTree::propagate_baseline`]: calibrated clique beliefs plus the
 /// evidence log-likelihood. Borrowed from the compiled tree; the beliefs
 /// own their tables (unlike [`CalibratedView`], which reads them out of a
 /// reusable workspace).
@@ -1111,30 +1013,15 @@ impl CalibratedTree<'_> {
     ///
     /// # Errors
     ///
-    /// Returns factor-shape errors (the family always fits one clique).
+    /// Returns [`Error::UnknownVariable`] for out-of-range handles, plus
+    /// factor-shape errors (the family always fits one clique).
     pub fn family_marginal(&self, var: VarId) -> Result<Factor> {
+        if var.index() >= self.tree.net.var_count() {
+            return Err(Error::UnknownVariable(format!("{var}")));
+        }
         let clique = self.tree.sched.family_clique[var.index()];
         let family = self.tree.net.family(var);
         let marg = self.beliefs[clique].marginalize_to(&family)?;
-        marg.normalized()
-    }
-
-    /// Joint posterior over a set of variables, provided some clique
-    /// contains them all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NotInScope`] when no single clique covers `vars`
-    /// (fall back to [`crate::VariableElimination::joint_marginal`]).
-    pub fn joint_marginal(&self, vars: &[VarId]) -> Result<Factor> {
-        let clique = self
-            .tree
-            .sched
-            .cliques
-            .iter()
-            .position(|c| vars.iter().all(|v| c.scope.contains(v)))
-            .ok_or_else(|| Error::NotInScope(format!("no clique covers all of {vars:?}")))?;
-        let marg = self.beliefs[clique].marginalize_to(vars)?;
         marg.normalized()
     }
 }
@@ -1168,18 +1055,18 @@ mod tests {
     fn compile_stats_are_sane() {
         let net = sprinkler();
         let jt = JunctionTree::compile(&net).unwrap();
-        let stats = jt.stats();
-        assert!(stats.cliques >= 1);
-        assert!(stats.max_clique_width >= 3, "wet's family has width 3");
-        assert!(stats.total_table_size >= 8);
+        let sched = &jt.sched;
+        assert!(!sched.cliques.is_empty());
+        let width = sched.cliques.iter().map(|c| c.scope.len()).max().unwrap();
+        assert!(width >= 3, "wet's family has width 3");
+        assert!(sched.cliques.iter().map(|c| c.len).sum::<usize>() >= 8);
         assert_eq!(jt.network().var_count(), 4);
-        assert_eq!(jt.clique_scopes().len(), stats.cliques);
-        let dot = jt.to_dot();
-        assert!(dot.contains("graph jointree"));
-        assert!(dot.contains("wet"));
-        let degrees: usize = (0..stats.cliques).map(|i| jt.clique_degree(i)).sum();
-        assert_eq!(degrees, (stats.cliques - 1) * 2, "tree has n-1 edges");
-        assert_eq!(jt.clique_degree(usize::MAX), 0);
+        assert_eq!(
+            sched.edges.len(),
+            sched.cliques.len() - 1,
+            "tree has n-1 edges"
+        );
+        assert_eq!(sched.collect_schedule.len(), sched.edges.len());
     }
 
     #[test]
@@ -1232,7 +1119,8 @@ mod tests {
         let cloudy = net.var("cloudy").unwrap();
         let mut e = Evidence::new();
         e.observe(wet, 1).observe(cloudy, 0);
-        let cal = jt.propagate(&e).unwrap();
+        let mut ws = jt.make_workspace();
+        let cal = jt.propagate_in(&mut ws, &e).unwrap();
         let expect = ve.log_likelihood(&e).unwrap();
         assert!((cal.log_likelihood() - expect).abs() < 1e-10);
     }
@@ -1242,42 +1130,24 @@ mod tests {
         let net = sprinkler();
         let jt = JunctionTree::compile(&net).unwrap();
         let wet = net.var("wet").unwrap();
-        let cal = jt.propagate(&Evidence::new()).unwrap();
-        let fam = cal.family_marginal(wet).unwrap();
+        let mut ws = jt.make_workspace();
+        let view = jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
+        let fam = view.family_marginal(wet).unwrap();
         assert_eq!(fam.scope().len(), 3);
         assert_eq!(*fam.scope().last().unwrap(), wet);
         assert!((fam.total() - 1.0).abs() < 1e-10);
         // Marginalising the family onto wet equals the posterior of wet.
         let from_family = fam.marginalize_to(&[wet]).unwrap();
-        let direct = cal.posterior(wet).unwrap();
+        let direct = view.posterior(wet).unwrap();
         for (a, b) in from_family.values().iter().zip(direct.iter()) {
             assert!((a - b).abs() < 1e-10);
         }
-        // The workspace view agrees.
-        let mut ws = jt.make_workspace();
-        let view = jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
-        let fam_view = view.family_marginal(wet).unwrap();
-        assert_eq!(fam_view.scope(), fam.scope());
-        for (a, b) in fam_view.values().iter().zip(fam.values()) {
+        // The reference propagation agrees.
+        let reference = jt.propagate_baseline(&Evidence::new()).unwrap();
+        let fam_ref = reference.family_marginal(wet).unwrap();
+        assert_eq!(fam_ref.scope(), fam.scope());
+        for (a, b) in fam_ref.values().iter().zip(fam.values()) {
             assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn joint_marginal_within_clique() {
-        let net = sprinkler();
-        let jt = JunctionTree::compile(&net).unwrap();
-        let s = net.var("sprinkler").unwrap();
-        let r = net.var("rain").unwrap();
-        let cal = jt.propagate(&Evidence::new()).unwrap();
-        // sprinkler and rain are married in the moral graph, so some clique
-        // holds both.
-        let j = cal.joint_marginal(&[s, r]).unwrap();
-        assert_eq!(j.scope(), &[s, r]);
-        let ve = crate::VariableElimination::new(&net);
-        let expect = ve.joint_marginal(&Evidence::new(), &[s, r]).unwrap();
-        for (a, b) in j.values().iter().zip(expect.values()) {
-            assert!((a - b).abs() < 1e-10);
         }
     }
 
@@ -1292,10 +1162,12 @@ mod tests {
         let jt = JunctionTree::compile(&net).unwrap();
         let mut e = Evidence::new();
         e.observe(c, 1);
-        assert!(matches!(jt.propagate(&e), Err(Error::ImpossibleEvidence)));
         // A workspace survives a failed propagation and can be reused.
         let mut ws = jt.make_workspace();
-        assert!(jt.propagate_in(&mut ws, &e).is_err());
+        assert!(matches!(
+            jt.propagate_in(&mut ws, &e),
+            Err(Error::ImpossibleEvidence)
+        ));
         assert!(!ws.is_calibrated());
         let ok = jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
         assert!((ok.posterior(a).unwrap()[0] - 1.0).abs() < 1e-12);
@@ -1313,7 +1185,8 @@ mod tests {
         let jt = JunctionTree::compile(&net).unwrap();
         let mut e = Evidence::new();
         e.observe(c, 1);
-        let cal = jt.propagate(&e).unwrap();
+        let mut ws = jt.make_workspace();
+        let cal = jt.propagate_in(&mut ws, &e).unwrap();
         let pa = cal.posterior(a).unwrap();
         assert!(
             (pa[1] - 0.75).abs() < 1e-10,
@@ -1400,7 +1273,8 @@ mod tests {
         let got = jt.posteriors(&e).unwrap();
         let expect = ve.all_posteriors(&e).unwrap();
         assert!(got.max_abs_diff(&expect).unwrap() < 1e-9);
-        let cal = jt.propagate(&e).unwrap();
+        let mut ws = jt.make_workspace();
+        let cal = jt.propagate_in(&mut ws, &e).unwrap();
         assert!((cal.log_likelihood() - ve.log_likelihood(&e).unwrap()).abs() < 1e-9);
     }
 
@@ -1687,6 +1561,16 @@ mod tests {
         // Observed variables carry zero entropy.
         assert_eq!(view.posterior_entropy(v6).unwrap(), 0.0);
         assert!(view.posterior_entropy(VarId::from_index(99)).is_err());
+        assert!(matches!(
+            view.family_marginal(VarId::from_index(99)),
+            Err(Error::UnknownVariable(_))
+        ));
+        assert!(matches!(
+            jt.propagate_baseline(&e)
+                .unwrap()
+                .family_marginal(VarId::from_index(99)),
+            Err(Error::UnknownVariable(_))
+        ));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Inference engines: exact (variable elimination, junction tree) and
-//! approximate (forward sampling, likelihood weighting, Gibbs).
+//! Exact inference engines (junction tree, variable elimination, brute-force
+//! enumeration) plus forward sampling of complete cases.
 //!
-//! All engines answer the same question the paper's diagnostic mode asks of
+//! The exact engines answer the same question the paper's diagnostic mode asks of
 //! Netica: *given the observed states of controllable and observable blocks,
 //! what are the posterior state distributions of every other block?*
 
@@ -12,9 +12,9 @@ mod sampling;
 pub use elimination::VariableElimination;
 pub use jointree::{
     compile_count as jointree_compile_count, CalibratedTree, CalibratedView, JunctionTree,
-    JunctionTreeStats, PropagationWorkspace,
+    PropagationWorkspace,
 };
-pub use sampling::{forward_sample, forward_sample_cases, likelihood_weighting, GibbsSampler};
+pub use sampling::{forward_sample, forward_sample_cases};
 
 use crate::error::{Error, Result};
 use crate::network::{Network, VarId};

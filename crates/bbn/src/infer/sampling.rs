@@ -1,14 +1,10 @@
-//! Approximate inference by stochastic sampling: forward (ancestral)
-//! sampling, likelihood weighting and Gibbs sampling.
+//! Forward (ancestral) sampling of complete cases from a network.
 //!
-//! Sampling serves two purposes here: it cross-checks the exact engines in
-//! property tests, and forward sampling synthesises device populations when
-//! a ground-truth network is available.
+//! Sampling synthesises device populations when a ground-truth network is
+//! available: the learning benches and the EM and property tests fit
+//! networks to cases drawn here. Inference itself is always exact.
 
-use crate::error::{Error, Result};
-use crate::evidence::Evidence;
-use crate::infer::Posteriors;
-use crate::network::{Network, VarId};
+use crate::network::Network;
 use rand::Rng;
 
 /// Draws one complete assignment by ancestral sampling (parents first).
@@ -37,247 +33,6 @@ pub fn forward_sample_cases<R: Rng + ?Sized>(
     (0..n).map(|_| forward_sample(net, rng)).collect()
 }
 
-/// Estimates all posterior marginals by likelihood weighting with `n`
-/// samples. Hard-evidence variables are clamped and their CPT likelihood
-/// folded into the sample weight; soft evidence multiplies the weight by the
-/// likelihood of the sampled state.
-///
-/// # Errors
-///
-/// Returns [`Error::ImpossibleEvidence`] when every sample has zero weight,
-/// plus evidence-validation errors.
-pub fn likelihood_weighting<R: Rng + ?Sized>(
-    net: &Network,
-    evidence: &Evidence,
-    n: usize,
-    rng: &mut R,
-) -> Result<Posteriors> {
-    evidence.validate(net)?;
-    let cards: Vec<usize> = net.variables().map(|v| net.card(v)).collect();
-    let mut acc: Vec<Vec<f64>> = cards.iter().map(|&c| vec![0.0; c]).collect();
-    let mut total_weight = 0.0;
-    let mut assignment = vec![usize::MAX; net.var_count()];
-    for _ in 0..n {
-        let mut weight = 1.0f64;
-        for &var in net.topological_order() {
-            let parent_states: Vec<usize> = net
-                .parents(var)
-                .iter()
-                .map(|p| assignment[p.index()])
-                .collect();
-            let row = net.cpt_row(var, &parent_states)?;
-            if let Some(state) = evidence.state_of(var) {
-                assignment[var.index()] = state;
-                weight *= row[state];
-            } else {
-                let s = sample_categorical(row, rng);
-                assignment[var.index()] = s;
-                if let Some(lik) = evidence.likelihood_of(var) {
-                    weight *= lik[s];
-                }
-            }
-            if weight == 0.0 {
-                break;
-            }
-        }
-        if weight > 0.0 {
-            total_weight += weight;
-            for (i, &s) in assignment.iter().enumerate() {
-                acc[i][s] += weight;
-            }
-        }
-    }
-    if total_weight <= 0.0 {
-        return Err(Error::ImpossibleEvidence);
-    }
-    for dist in &mut acc {
-        for p in dist.iter_mut() {
-            *p /= total_weight;
-        }
-    }
-    Ok(Posteriors::new(acc))
-}
-
-/// Markov-chain Monte-Carlo inference by single-site Gibbs sampling.
-///
-/// Only hard evidence is supported: each unobserved variable is resampled
-/// from its full conditional given its Markov blanket.
-///
-/// # Examples
-///
-/// ```
-/// # fn main() -> Result<(), abbd_bbn::Error> {
-/// use abbd_bbn::{Evidence, GibbsSampler, NetworkBuilder};
-/// use rand::SeedableRng;
-///
-/// let mut b = NetworkBuilder::new();
-/// let x = b.variable("x", ["0", "1"])?;
-/// let y = b.variable("y", ["0", "1"])?;
-/// b.prior(x, [0.5, 0.5])?;
-/// b.cpt(y, [x], [[0.9, 0.1], [0.2, 0.8]])?;
-/// let net = b.build()?;
-///
-/// let mut e = Evidence::new();
-/// e.observe(y, 1);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut gibbs = GibbsSampler::new(&net, &e, &mut rng)?;
-/// let post = gibbs.posteriors(500, 5_000, &mut rng)?;
-/// assert!(post.of(x)[1] > 0.7);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug)]
-pub struct GibbsSampler<'a> {
-    net: &'a Network,
-    evidence: Evidence,
-    state: Vec<usize>,
-    free: Vec<VarId>,
-}
-
-impl<'a> GibbsSampler<'a> {
-    /// Initialises the chain with a likelihood-weighted forward sample that
-    /// respects the hard evidence.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidEvidence`] when soft evidence is supplied
-    /// (unsupported), plus validation errors.
-    pub fn new<R: Rng + ?Sized>(
-        net: &'a Network,
-        evidence: &Evidence,
-        rng: &mut R,
-    ) -> Result<Self> {
-        evidence.validate(net)?;
-        if evidence.soft_iter().next().is_some() {
-            return Err(Error::InvalidEvidence {
-                variable: "<soft>".into(),
-                reason: "Gibbs sampling supports hard evidence only".into(),
-            });
-        }
-        let mut state = vec![usize::MAX; net.var_count()];
-        for &var in net.topological_order() {
-            if let Some(s) = evidence.state_of(var) {
-                state[var.index()] = s;
-            } else {
-                let parent_states: Vec<usize> =
-                    net.parents(var).iter().map(|p| state[p.index()]).collect();
-                let row = net.cpt_row(var, &parent_states)?;
-                state[var.index()] = sample_categorical(row, rng);
-            }
-        }
-        let free: Vec<VarId> = net
-            .variables()
-            .filter(|v| evidence.state_of(*v).is_none())
-            .collect();
-        Ok(GibbsSampler {
-            net,
-            evidence: evidence.clone(),
-            state,
-            free,
-        })
-    }
-
-    /// One full sweep: resample every unobserved variable once.
-    pub fn sweep<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        for i in 0..self.free.len() {
-            let var = self.free[i];
-            self.resample(var, rng);
-        }
-    }
-
-    fn resample<R: Rng + ?Sized>(&mut self, var: VarId, rng: &mut R) {
-        let card = self.net.card(var);
-        let mut logits = vec![0.0f64; card];
-        for s in 0..card {
-            self.state[var.index()] = s;
-            // P(var = s | blanket) ∝ P(var | parents) Π_children P(child | parents)
-            let parent_states: Vec<usize> = self
-                .net
-                .parents(var)
-                .iter()
-                .map(|p| self.state[p.index()])
-                .collect();
-            let row = self
-                .net
-                .cpt_row(var, &parent_states)
-                .expect("chain state is always complete");
-            let mut p = row[s];
-            for &child in self.net.children(var) {
-                let cps: Vec<usize> = self
-                    .net
-                    .parents(child)
-                    .iter()
-                    .map(|p| self.state[p.index()])
-                    .collect();
-                let crow = self
-                    .net
-                    .cpt_row(child, &cps)
-                    .expect("chain state is always complete");
-                p *= crow[self.state[child.index()]];
-            }
-            logits[s] = p;
-        }
-        let total: f64 = logits.iter().sum();
-        let s = if total > 0.0 {
-            for l in &mut logits {
-                *l /= total;
-            }
-            sample_categorical(&logits, rng)
-        } else {
-            // The blanket forbids every state (deterministic CPTs); keep a
-            // uniform restart to stay ergodic.
-            rng.gen_range(0..card)
-        };
-        self.state[var.index()] = s;
-    }
-
-    /// Runs `burn_in` sweeps, then `samples` recorded sweeps, and returns
-    /// the empirical posterior marginals.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::NoCases`] when `samples` is zero.
-    pub fn posteriors<R: Rng + ?Sized>(
-        &mut self,
-        burn_in: usize,
-        samples: usize,
-        rng: &mut R,
-    ) -> Result<Posteriors> {
-        if samples == 0 {
-            return Err(Error::NoCases);
-        }
-        for _ in 0..burn_in {
-            self.sweep(rng);
-        }
-        let cards: Vec<usize> = self.net.variables().map(|v| self.net.card(v)).collect();
-        let mut acc: Vec<Vec<f64>> = cards.iter().map(|&c| vec![0.0; c]).collect();
-        for _ in 0..samples {
-            self.sweep(rng);
-            for (i, &s) in self.state.iter().enumerate() {
-                acc[i][s] += 1.0;
-            }
-        }
-        for dist in &mut acc {
-            for p in dist.iter_mut() {
-                *p /= samples as f64;
-            }
-        }
-        // Observed variables are pinned by construction.
-        for (var, state) in self.evidence.hard_iter() {
-            let dist = &mut acc[var.index()];
-            for (i, p) in dist.iter_mut().enumerate() {
-                *p = if i == state { 1.0 } else { 0.0 };
-            }
-        }
-        Ok(Posteriors::new(acc))
-    }
-
-    /// The chain's current complete assignment.
-    pub fn state(&self) -> &[usize] {
-        &self.state
-    }
-}
-
 fn sample_categorical<R: Rng + ?Sized>(dist: &[f64], rng: &mut R) -> usize {
     let total: f64 = dist.iter().sum();
     let mut u = rng.gen::<f64>() * total;
@@ -293,6 +48,7 @@ fn sample_categorical<R: Rng + ?Sized>(dist: &[f64], rng: &mut R) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::evidence::Evidence;
     use crate::infer::enumerate_posteriors;
     use crate::network::NetworkBuilder;
     use rand::rngs::StdRng;
@@ -331,82 +87,6 @@ mod tests {
         let exact = enumerate_posteriors(&net, &Evidence::new()).unwrap();
         let frac_wet = samples.iter().filter(|s| s[wet] == 1).count() as f64 / n as f64;
         assert!((frac_wet - exact.of(net.var("wet").unwrap())[1]).abs() < 0.02);
-    }
-
-    #[test]
-    fn likelihood_weighting_converges() {
-        let net = sprinkler();
-        let wet = net.var("wet").unwrap();
-        let mut e = Evidence::new();
-        e.observe(wet, 1);
-        let exact = enumerate_posteriors(&net, &e).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let approx = likelihood_weighting(&net, &e, 60_000, &mut rng).unwrap();
-        assert!(approx.max_abs_diff(&exact).unwrap() < 0.02);
-    }
-
-    #[test]
-    fn likelihood_weighting_soft_evidence() {
-        let net = sprinkler();
-        let rain = net.var("rain").unwrap();
-        let mut e = Evidence::new();
-        e.observe_likelihood(rain, vec![0.25, 1.0]);
-        let exact = enumerate_posteriors(&net, &e).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let approx = likelihood_weighting(&net, &e, 60_000, &mut rng).unwrap();
-        assert!(approx.max_abs_diff(&exact).unwrap() < 0.02);
-    }
-
-    #[test]
-    fn likelihood_weighting_impossible_evidence() {
-        let mut b = NetworkBuilder::new();
-        let a = b.variable("a", ["0", "1"]).unwrap();
-        let c = b.variable("c", ["0", "1"]).unwrap();
-        b.prior(a, [1.0, 0.0]).unwrap();
-        b.cpt(c, [a], [[1.0, 0.0], [0.0, 1.0]]).unwrap();
-        let net = b.build().unwrap();
-        let mut e = Evidence::new();
-        e.observe(c, 1);
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(matches!(
-            likelihood_weighting(&net, &e, 100, &mut rng),
-            Err(Error::ImpossibleEvidence)
-        ));
-    }
-
-    #[test]
-    fn gibbs_converges() {
-        let net = sprinkler();
-        let wet = net.var("wet").unwrap();
-        let cloudy = net.var("cloudy").unwrap();
-        let mut e = Evidence::new();
-        e.observe(wet, 1);
-        let exact = enumerate_posteriors(&net, &e).unwrap();
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut gibbs = GibbsSampler::new(&net, &e, &mut rng).unwrap();
-        let approx = gibbs.posteriors(1_000, 30_000, &mut rng).unwrap();
-        assert!(
-            (approx.of(cloudy)[1] - exact.of(cloudy)[1]).abs() < 0.03,
-            "gibbs {} vs exact {}",
-            approx.of(cloudy)[1],
-            exact.of(cloudy)[1]
-        );
-        // Observed variable is pinned.
-        assert!((approx.of(wet)[1] - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn gibbs_rejects_soft_evidence_and_zero_samples() {
-        let net = sprinkler();
-        let rain = net.var("rain").unwrap();
-        let mut soft = Evidence::new();
-        soft.observe_likelihood(rain, vec![0.5, 0.5]);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(GibbsSampler::new(&net, &soft, &mut rng).is_err());
-
-        let mut gibbs = GibbsSampler::new(&net, &Evidence::new(), &mut rng).unwrap();
-        assert!(gibbs.posteriors(0, 0, &mut rng).is_err());
-        assert_eq!(gibbs.state().len(), 4);
     }
 
     #[test]

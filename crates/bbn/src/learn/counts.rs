@@ -266,7 +266,7 @@ impl SuffStats {
 
     /// Adds an expected-count contribution: a normalised family marginal
     /// `P(parents, var | e)` (scope `parents ++ [var]`, the layout produced
-    /// by [`crate::CalibratedTree::family_marginal`]) scaled by `weight`.
+    /// by [`crate::CalibratedView::family_marginal`]) scaled by `weight`.
     ///
     /// # Errors
     ///

@@ -296,7 +296,6 @@ mod tests {
         let truth = hidden_chain();
         let mut rng = StdRng::seed_from_u64(55);
         let samples = forward_sample_cases(&truth, 4000, &mut rng);
-        let hidden = truth.var("hidden").unwrap();
         let obs1 = truth.var("obs1").unwrap();
         let obs2 = truth.var("obs2").unwrap();
         let cases: Vec<Case> = samples
@@ -315,27 +314,36 @@ mod tests {
         )
         .unwrap();
         // Compare fitted P(obs1, obs2) with the empirical joint.
-        let jt = JunctionTree::compile(&out.network).unwrap();
-        let cal = jt.propagate(&crate::Evidence::new()).unwrap();
         let ve = crate::VariableElimination::new(&out.network);
         let joint = ve
             .joint_marginal(&crate::Evidence::new(), &[obs1, obs2])
             .unwrap();
-        let _ = cal;
+        // The compiled tree reads the same observable margin.
+        let jt = JunctionTree::compile(&out.network).unwrap();
+        let mut ws = jt.make_workspace();
+        let view = jt.propagate_in(&mut ws, &crate::Evidence::new()).unwrap();
+        let p_obs1 = view.posterior(obs1).unwrap();
+        for (i, p) in p_obs1.iter().enumerate() {
+            let from_joint = joint.values()[2 * i] + joint.values()[2 * i + 1];
+            assert!(
+                (p - from_joint).abs() < 1e-12,
+                "P(obs1={i}): {p} vs {from_joint}"
+            );
+        }
         let mut empirical = [[0.0f64; 2]; 2];
         for s in &samples {
             empirical[s[obs1.index()]][s[obs2.index()]] += 1.0 / samples.len() as f64;
         }
         for (i, row) in empirical.iter().enumerate() {
             for (j, expect) in row.iter().enumerate() {
-                let fitted = joint.values()[joint.index_of(&[i, j]).unwrap()];
+                // Both binary, scope `[obs1, obs2]` with obs2 fastest.
+                let fitted = joint.values()[2 * i + j];
                 assert!(
                     (fitted - expect).abs() < 0.02,
                     "P(obs1={i}, obs2={j}): fitted {fitted} vs empirical {expect}"
                 );
             }
         }
-        let _ = hidden;
     }
 
     #[test]

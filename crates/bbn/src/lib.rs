@@ -1,10 +1,11 @@
 //! # abbd-bbn — Bayesian belief networks for analogue-circuit diagnosis
 //!
 //! A self-contained discrete Bayesian-network engine: structure building,
-//! exact inference (variable elimination and junction trees), approximate
-//! inference (forward sampling, likelihood weighting, Gibbs), MPE/MAP
-//! queries, and parameter learning (complete-data counting, EM and
-//! conjugate gradient, all with Dirichlet priors).
+//! exact posterior propagation through a compiled junction tree, variable
+//! elimination for joint marginals and as a test oracle, forward sampling
+//! of synthetic cases, block sub-model extraction, and parameter learning
+//! (complete-data counting, EM and conjugate gradient, all with Dirichlet
+//! priors).
 //!
 //! The crate replaces the commercial Netica engine used by *Block-Level
 //! Bayesian Diagnosis of Analogue Electronic Circuits* (DATE 2010): the
@@ -30,7 +31,8 @@
 //! let mut seen = Evidence::new();
 //! seen.observe(output, 0);
 //! let jt = JunctionTree::compile(&net)?;
-//! let posterior = jt.propagate(&seen)?.posterior(bias)?;
+//! let mut ws = jt.make_workspace();
+//! let posterior = jt.propagate_in(&mut ws, &seen)?.posterior(bias)?;
 //! assert!(posterior[0] > 0.3); // the failure implicates the bias block
 //! # Ok(())
 //! # }
@@ -39,26 +41,22 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cpt;
 mod error;
 mod evidence;
 mod factor;
-pub mod graph;
+mod graph;
 mod infer;
 pub mod learn;
 mod network;
-mod query;
 mod submodel;
 
 pub use error::{Error, Result};
 pub use evidence::Evidence;
-pub use factor::{Factor, MaxOut};
-pub use graph::{d_separated, moral_graph, OrderingHeuristic, UndirectedGraph};
+pub use factor::Factor;
 pub use infer::{
     enumerate_posteriors, forward_sample, forward_sample_cases, jointree_compile_count,
-    likelihood_weighting, CalibratedTree, CalibratedView, GibbsSampler, JunctionTree,
-    JunctionTreeStats, Posteriors, PropagationWorkspace, VariableElimination,
+    CalibratedTree, CalibratedView, JunctionTree, Posteriors, PropagationWorkspace,
+    VariableElimination,
 };
 pub use network::{Network, NetworkBuilder, VarId};
-pub use query::{map_query, most_probable_explanation, query_batch, Explanation};
 pub use submodel::{extract_submodel, Submodel};

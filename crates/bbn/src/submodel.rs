@@ -242,15 +242,17 @@ mod tests {
         let mut sub_ev = Evidence::new();
         sub_ev.observe(s_vin, 0);
         sub_ev.observe(s_out, 0);
-        let flat_post = JunctionTree::compile(&net)
-            .unwrap()
-            .propagate(&flat_ev)
+        let flat_jt = JunctionTree::compile(&net).unwrap();
+        let mut flat_ws = flat_jt.make_workspace();
+        let flat_post = flat_jt
+            .propagate_in(&mut flat_ws, &flat_ev)
             .unwrap()
             .posterior(bias)
             .unwrap();
-        let sub_post = JunctionTree::compile(&sub.network)
-            .unwrap()
-            .propagate(&sub_ev)
+        let sub_jt = JunctionTree::compile(&sub.network).unwrap();
+        let mut sub_ws = sub_jt.make_workspace();
+        let sub_post = sub_jt
+            .propagate_in(&mut sub_ws, &sub_ev)
             .unwrap()
             .posterior(s_bias)
             .unwrap();

@@ -4,8 +4,8 @@
 
 use abbd_bbn::learn::{fit_complete, fit_em, Case, DirichletPrior, EmConfig};
 use abbd_bbn::{
-    enumerate_posteriors, forward_sample_cases, most_probable_explanation, Evidence, Factor,
-    JunctionTree, Network, NetworkBuilder, VarId, VariableElimination,
+    enumerate_posteriors, forward_sample_cases, Evidence, Factor, JunctionTree, Network,
+    NetworkBuilder, VarId, VariableElimination,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -122,45 +122,13 @@ proptest! {
         let evidence = pick_evidence(&net, seed);
         let jt = JunctionTree::compile(&net).unwrap();
         let ve = VariableElimination::new(&net);
-        match (jt.propagate(&evidence), ve.log_likelihood(&evidence)) {
+        let mut ws = jt.make_workspace();
+        match (jt.propagate_in(&mut ws, &evidence), ve.log_likelihood(&evidence)) {
             (Ok(cal), Ok(ll)) => {
                 prop_assert!((cal.log_likelihood() - ll).abs() < 1e-8 * (1.0 + ll.abs()));
             }
             (Err(_), Err(_)) => {}
             (a, b) => prop_assert!(false, "disagree: {a:?} vs {b:?}"),
-        }
-    }
-
-    #[test]
-    fn mpe_beats_or_ties_every_enumerated_assignment(
-        recipe in net_recipe(5),
-        seed in 0u64..1000,
-    ) {
-        let net = build_net(&recipe);
-        let evidence = pick_evidence(&net, seed);
-        let Ok(mpe) = most_probable_explanation(&net, &evidence) else { return Ok(()); };
-        // The claimed assignment must be consistent with the evidence...
-        for (v, s) in evidence.hard_iter() {
-            prop_assert_eq!(mpe.assignment[v.index()], s);
-        }
-        // ...achieve its claimed probability...
-        let p = net.joint_probability(&mpe.assignment).unwrap();
-        prop_assert!((p.ln() - mpe.log_probability).abs() < 1e-8);
-        // ...and dominate every consistent assignment.
-        let cards: Vec<usize> = net.variables().map(|v| net.card(v)).collect();
-        let total: usize = cards.iter().product();
-        let mut a = vec![0usize; cards.len()];
-        for _ in 0..total {
-            let consistent =
-                evidence.hard_iter().all(|(v, s)| a[v.index()] == s);
-            if consistent {
-                let q = net.joint_probability(&a).unwrap();
-                prop_assert!(q <= p + 1e-12, "found better assignment {a:?}");
-            }
-            for pos in (0..cards.len()).rev() {
-                a[pos] += 1;
-                if a[pos] == cards[pos] { a[pos] = 0; } else { break; }
-            }
         }
     }
 
@@ -286,30 +254,12 @@ proptest! {
             prop_assert!((x - y).abs() <= 1e-12);
         }
 
-        // mul_assign == product when the scope is a subset.
-        let mut inplace = f.clone();
-        inplace.mul_assign(&g).unwrap();
-        let reference = f.product(&g);
-        for (x, y) in inplace.values().iter().zip(reference.values()) {
-            prop_assert!((x - y).abs() <= 1e-12);
-        }
-
         // div_assign == divide (0/0 = 0 convention).
         let mut inplace = f.clone();
         inplace.div_assign(&h).unwrap();
         let reference = f.divide(&h).unwrap();
         for (x, y) in inplace.values().iter().zip(reference.values()) {
             prop_assert!((x - y).abs() <= 1e-12);
-        }
-
-        // Fused product_sum_out == product then sum_out, for every variable.
-        for var in [a, b, c] {
-            let fused = f.product_sum_out(&g, var).unwrap();
-            let two_step = f.product(&g).sum_out(var).unwrap();
-            prop_assert_eq!(fused.scope(), two_step.scope());
-            for (x, y) in fused.values().iter().zip(two_step.values()) {
-                prop_assert!((x - y).abs() <= 1e-12);
-            }
         }
 
         // N-ary fused bucket == sequential products then sum_out.
@@ -388,50 +338,5 @@ proptest! {
         let text = net.to_json().unwrap();
         let back = Network::from_json(&text).unwrap();
         prop_assert_eq!(net, back);
-    }
-
-    #[test]
-    fn d_separation_implies_numerical_independence(
-        recipe in net_recipe(5),
-        xi in 0usize..5,
-        yi in 0usize..5,
-        zmask in 0usize..32,
-        seed in 0u64..500,
-    ) {
-        let net = build_net(&recipe);
-        let n = net.var_count();
-        let x = VarId::from_index(xi % n);
-        let y = VarId::from_index(yi % n);
-        if x == y { return Ok(()); }
-        let z: Vec<VarId> = (0..n)
-            .filter(|&i| (zmask >> i) & 1 == 1)
-            .map(VarId::from_index)
-            .filter(|v| *v != x && *v != y)
-            .collect();
-        if !abbd_bbn::d_separated(&net, x, y, &z) {
-            return Ok(()); // only the implication direction is a theorem
-        }
-        // Draw a consistent assignment for Z via forward sampling so the
-        // conditional is well-defined.
-        let mut rng = StdRng::seed_from_u64(seed);
-        let sample = abbd_bbn::forward_sample(&net, &mut rng);
-        let mut ez = Evidence::new();
-        for &v in &z {
-            ez.observe(v, sample[v.index()]);
-        }
-        let ve = VariableElimination::new(&net);
-        let p_x = ve.posterior(&ez, x).unwrap();
-        // Condition additionally on every state of y and compare.
-        for ys in 0..net.card(y) {
-            let mut ezy = ez.clone();
-            ezy.observe(y, ys);
-            let Ok(p_x_given_y) = ve.posterior(&ezy, x) else { continue };
-            for (a, b) in p_x.iter().zip(&p_x_given_y) {
-                prop_assert!(
-                    (a - b).abs() < 1e-8,
-                    "d-separated pair is numerically dependent: {a} vs {b}"
-                );
-            }
-        }
     }
 }

@@ -1,10 +1,8 @@
 //! Inference-engine benchmarks: posterior queries on the regulator network
-//! and on synthetic chains, comparing variable elimination, junction-tree
-//! propagation and likelihood weighting (the Netica-replacement cost).
+//! and on synthetic chains, comparing variable elimination and junction-tree
+//! propagation (the Netica-replacement cost).
 
-use abbd_bbn::{
-    likelihood_weighting, Evidence, JunctionTree, Network, NetworkBuilder, VariableElimination,
-};
+use abbd_bbn::{Evidence, JunctionTree, Network, NetworkBuilder, VariableElimination};
 use abbd_core::{
     Action, CompiledModel, CostModel, DiagnosisSession, HierarchicalSession, SessionRequest,
     StoppingPolicy, Strategy,
@@ -12,8 +10,6 @@ use abbd_core::{
 use abbd_designs::board::{self, BoardConfig};
 use abbd_designs::regulator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -57,17 +53,12 @@ fn bench_regulator_inference(c: &mut Criterion) {
         let jt = JunctionTree::compile(&net).unwrap();
         b.iter(|| jt.posteriors(black_box(&evidence)).unwrap())
     });
-    group.bench_function("likelihood_weighting_2k", |b| {
-        let mut rng = StdRng::seed_from_u64(1);
-        b.iter(|| likelihood_weighting(&net, black_box(&evidence), 2_000, &mut rng).unwrap())
-    });
     group.finish();
 }
 
 /// The repeated-evidence serving loop: one compiled tree, many queries.
 /// `clone_and_rebuild_baseline` is the seed's allocating propagation
 /// (potentials rebuilt from CPTs with factor products on every call);
-/// `compiled_schedule` is the flat-schedule path through a fresh workspace;
 /// `compiled_reused_workspace` reuses one workspace across queries and is
 /// the zero-allocation configuration batch serving uses.
 fn bench_repeated_evidence(c: &mut Criterion) {
@@ -78,14 +69,6 @@ fn bench_repeated_evidence(c: &mut Criterion) {
     group.bench_function("clone_and_rebuild_baseline", |b| {
         b.iter(|| {
             jt.propagate_baseline(black_box(&evidence))
-                .unwrap()
-                .all_posteriors()
-                .unwrap()
-        })
-    });
-    group.bench_function("compiled_schedule", |b| {
-        b.iter(|| {
-            jt.propagate(black_box(&evidence))
                 .unwrap()
                 .all_posteriors()
                 .unwrap()

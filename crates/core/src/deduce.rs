@@ -477,11 +477,18 @@ mod tests {
                 .iter()
                 .enumerate()
                 .filter(|&(idx, _)| {
+                    // Decode the cell index, last ancestor fastest.
+                    let mut rest = idx;
                     joint
-                        .assignment_of(idx)
+                        .cards()
                         .iter()
                         .zip(&ancestors)
-                        .all(|(s, a)| !m.fault_states(a).contains(s))
+                        .rev()
+                        .all(|(&card, a)| {
+                            let state = rest % card;
+                            rest /= card;
+                            !m.fault_states(a).contains(&state)
+                        })
                 })
                 .map(|(_, p)| p)
                 .sum();

@@ -3,8 +3,8 @@
 //! A diagnostic report that names a block without saying *why* is hard for
 //! a failure analyst to trust. This module quantifies the contribution of
 //! every observed finding to a target block's posterior by leave-one-out
-//! retraction: drop the finding, re-propagate, and measure how far the
-//! target's posterior moves back.
+//! retraction: drop the finding, re-propagate through the engine's compiled
+//! junction tree, and measure how far the target's posterior moves back.
 
 use crate::engine::{DiagnosticEngine, Observation};
 use crate::error::{Error, Result};
@@ -39,10 +39,11 @@ impl DiagnosticEngine {
     /// propagates observation-validation and propagation errors.
     pub fn explain(&self, observation: &Observation, target: &str) -> Result<Vec<FindingImpact>> {
         let target_id = self.model().var(target)?;
-        let jt = abbd_bbn::JunctionTree::compile(self.model().network()).map_err(Error::Bbn)?;
+        let jt = self.compiled().jt();
+        let mut ws = self.make_workspace();
         let full_evidence = self.evidence_from(observation)?;
         let full = jt
-            .propagate(&full_evidence)
+            .propagate_in(&mut ws, &full_evidence)
             .map_err(Error::Bbn)?
             .posterior(target_id)
             .map_err(Error::Bbn)?;
@@ -56,7 +57,7 @@ impl DiagnosticEngine {
             let id = self.model().var(name)?;
             retracted.retract(id);
             let without = jt
-                .propagate(&retracted)
+                .propagate_in(&mut ws, &retracted)
                 .map_err(Error::Bbn)?
                 .posterior(target_id)
                 .map_err(Error::Bbn)?;
@@ -77,6 +78,7 @@ mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
     use crate::model::CircuitModel;
+    use abbd_bbn::VariableElimination;
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 
     fn engine() -> DiagnosticEngine {
@@ -155,6 +157,44 @@ mod tests {
         let impacts = eng.explain(&obs, "bias").unwrap();
         for w in impacts.windows(2) {
             assert!(w[0].impact >= w[1].impact);
+        }
+    }
+
+    #[test]
+    fn explain_reuses_the_compiled_tree() {
+        let eng = engine();
+        let mut obs = Observation::new();
+        obs.set("out_main", 0).set("out_aux", 1);
+        let before = abbd_bbn::jointree_compile_count();
+        eng.explain(&obs, "bias").unwrap();
+        assert_eq!(
+            abbd_bbn::jointree_compile_count(),
+            before,
+            "explain compiled"
+        );
+    }
+
+    #[test]
+    fn retracted_posteriors_match_the_variable_elimination_oracle() {
+        let eng = engine();
+        let mut obs = Observation::new();
+        obs.set("out_main", 0).set("out_aux", 1);
+        let ve = VariableElimination::new(eng.model().network());
+        let full = eng.evidence_from(&obs).unwrap();
+        for target in ["bias", "load", "out_main"] {
+            let target_id = eng.model().var(target).unwrap();
+            for impact in eng.explain(&obs, target).unwrap() {
+                let mut retracted = full.clone();
+                retracted.retract(eng.model().var(&impact.variable).unwrap());
+                let expect = ve.posterior(&retracted, target_id).unwrap();
+                for (got, want) in impact.posterior_without.iter().zip(&expect) {
+                    assert!(
+                        (got - want).abs() <= 1e-12,
+                        "{target} without {}: {got} vs {want}",
+                        impact.variable
+                    );
+                }
+            }
         }
     }
 }
