@@ -58,7 +58,4 @@ pub use datalog::{parse_datalog, write_datalog};
 pub use error::{Error, Result};
 pub use ondemand::{DeviceSession, OnDemandTester};
 pub use program::{Limits, TestDef, TestProgram, TestSuite};
-pub use tester::{
-    failing_logs, test_device, test_population, test_population_batch, DeviceLog, NoiseModel,
-    Record,
-};
+pub use tester::{failing_logs, test_device, test_population, DeviceLog, NoiseModel, Record};

@@ -45,10 +45,11 @@ impl<'a> OnDemandTester<'a> {
         self.program
     }
 
-    /// Opens a measurement session on one device. Noise is seeded from
-    /// `(seed, device id)` like [`crate::test_population_batch`], so a
-    /// re-run reproduces the same readings regardless of execution order
-    /// interleaving across devices.
+    /// Opens a measurement session on one device. Each device gets its own
+    /// noise stream, seeded from `seed ^ (device id × 0x9e37_79b9_7f4a_7c15)`
+    /// so device streams never collide: a re-run with the same `seed`
+    /// reproduces the same readings regardless of the order in which
+    /// devices are measured.
     pub fn session<'d>(
         &'d self,
         device: &'d Device,

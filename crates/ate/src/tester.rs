@@ -210,40 +210,6 @@ pub fn test_population<R: Rng + ?Sized>(
         .collect()
 }
 
-/// Tests a whole population in parallel, one device per task, returning
-/// logs in device order.
-///
-/// Unlike [`test_population`] (which threads one RNG through every
-/// device), each device gets its own noise stream seeded from `(seed,
-/// device id)`, so the result is deterministic for a fixed `seed`
-/// regardless of worker count — the property batch pipelines need when a
-/// re-run must reproduce a datalog byte for byte.
-///
-/// # Errors
-///
-/// Propagates [`test_device`] errors.
-pub fn test_population_batch(
-    circuit: &Circuit,
-    program: &TestProgram,
-    devices: &[Device],
-    noise: &NoiseModel,
-    seed: u64,
-) -> Result<Vec<DeviceLog>> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-    use rayon::prelude::*;
-
-    let logs: Vec<Result<DeviceLog>> = devices
-        .par_iter()
-        .map(|d| {
-            // Mix the device id into the seed so streams never collide.
-            let mut rng = StdRng::seed_from_u64(seed ^ d.id.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            test_device(circuit, program, d, noise, &mut rng)
-        })
-        .collect();
-    logs.into_iter().collect()
-}
-
 /// Convenience: the subset of logs with at least one failing record — the
 /// paper's "fail information from defective samples".
 pub fn failing_logs(logs: &[DeviceLog]) -> Vec<&DeviceLog> {
@@ -429,36 +395,6 @@ mod tests {
             .zip(&noisy.records)
             .any(|(a, b)| (a.value - b.value).abs() > 1e-6);
         assert!(moved, "noise must perturb at least one reading");
-    }
-
-    #[test]
-    fn population_batch_is_deterministic_and_ordered() {
-        let (circuit, program) = rig();
-        let bandgap = circuit.find_block("bandgap").unwrap();
-        let mut devices = Vec::new();
-        for id in 0..8u64 {
-            let mut d = Device::golden(&circuit);
-            d.id = id;
-            if id % 2 == 1 {
-                d.faults = DeviceFaults::single(Fault::new(bandgap, FaultMode::Dead));
-            }
-            devices.push(d);
-        }
-        let a = test_population_batch(&circuit, &program, &devices, &NoiseModel::production(), 7)
-            .unwrap();
-        let b = test_population_batch(&circuit, &program, &devices, &NoiseModel::production(), 7)
-            .unwrap();
-        assert_eq!(a, b, "same seed must reproduce the logs exactly");
-        let ids: Vec<u64> = a.iter().map(|l| l.device_id).collect();
-        assert_eq!(
-            ids,
-            (0..8).collect::<Vec<_>>(),
-            "logs come back in device order"
-        );
-        assert!(a.iter().filter(|l| !l.all_passed()).count() >= 4);
-        let c = test_population_batch(&circuit, &program, &devices, &NoiseModel::production(), 8)
-            .unwrap();
-        assert_ne!(a, c, "a different seed must perturb the noise");
     }
 
     #[test]

@@ -18,11 +18,9 @@
 //! base tables, evidence is entered by scaling axes in place, and every
 //! message lands in a preallocated separator buffer. Evidence changes
 //! therefore re-propagate incrementally — nothing structural is rebuilt,
-//! only the affected table contents are recomputed.
-//!
-//! For many independent evidence sets (one per board under test) use
-//! [`JunctionTree::posteriors_batch`], which fans the boards out across
-//! threads with one workspace per worker.
+//! only the affected table contents are recomputed. Many independent
+//! evidence sets (one per board under test) loop `propagate_in` over one
+//! reused workspace.
 
 use crate::error::{Error, Result};
 use crate::evidence::Evidence;
@@ -34,7 +32,6 @@ use crate::factor::Factor;
 use crate::graph::{elimination_order, moral_graph};
 use crate::infer::Posteriors;
 use crate::network::{Network, VarId};
-use rayon::prelude::*;
 use std::cell::Cell;
 use std::sync::Arc;
 
@@ -667,21 +664,6 @@ impl JunctionTree {
     pub fn posteriors(&self, evidence: &Evidence) -> Result<Posteriors> {
         let mut ws = self.make_workspace();
         self.propagate_in(&mut ws, evidence)?.all_posteriors()
-    }
-
-    /// Diagnoses a whole batch of independent evidence sets (one per board
-    /// under test) against this one compiled tree, in parallel, with one
-    /// reused workspace per worker thread. Results come back in input
-    /// order; each board fails or succeeds independently, so one
-    /// impossible-evidence board does not poison the batch.
-    pub fn posteriors_batch(&self, evidences: &[Evidence]) -> Vec<Result<Posteriors>> {
-        evidences
-            .par_iter()
-            .map_init(
-                || self.make_workspace(),
-                |ws, evidence| self.propagate_in(ws, evidence)?.all_posteriors(),
-            )
-            .collect()
     }
 
     /// The reference (pre-compilation) propagation: rebuilds every clique
@@ -1337,33 +1319,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_equals_sequential() {
-        let net = seven_var_net();
-        let jt = JunctionTree::compile(&net).unwrap();
-        let v0 = net.var("v0").unwrap();
-        let v6 = net.var("v6").unwrap();
-        let mut evidences = Vec::new();
-        for i in 0..32 {
-            let mut e = Evidence::new();
-            e.observe(v6, i % 2);
-            if i % 3 == 0 {
-                e.observe(v0, (i / 3) % 2);
-            }
-            evidences.push(e);
-        }
-        let batch = jt.posteriors_batch(&evidences);
-        assert_eq!(batch.len(), evidences.len());
-        for (e, got) in evidences.iter().zip(&batch) {
-            let sequential = jt.posteriors(e).unwrap();
-            let got = got.as_ref().expect("evidence is satisfiable");
-            assert!(
-                got.max_abs_diff(&sequential).unwrap() == 0.0,
-                "batch must be exact"
-            );
-        }
-    }
-
-    #[test]
     fn cloned_trees_share_compiled_state_without_recompiling() {
         let net = seven_var_net();
         let compiles_before = compile_count();
@@ -1584,23 +1539,5 @@ mod tests {
             jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
         }
         assert_eq!(compile_count(), before + 1, "propagation must not compile");
-    }
-
-    #[test]
-    fn batch_isolates_impossible_boards() {
-        let mut b = NetworkBuilder::new();
-        let a = b.variable("a", ["0", "1"]).unwrap();
-        let c = b.variable("c", ["0", "1"]).unwrap();
-        b.prior(a, [1.0, 0.0]).unwrap();
-        b.cpt(c, [a], [[1.0, 0.0], [0.0, 1.0]]).unwrap();
-        let net = b.build().unwrap();
-        let jt = JunctionTree::compile(&net).unwrap();
-        let mut bad = Evidence::new();
-        bad.observe(c, 1);
-        let mut good = Evidence::new();
-        good.observe(c, 0);
-        let results = jt.posteriors_batch(&[good, bad]);
-        assert!(results[0].is_ok());
-        assert_eq!(results[1], Err(Error::ImpossibleEvidence));
     }
 }

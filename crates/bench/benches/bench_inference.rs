@@ -94,36 +94,6 @@ fn bench_repeated_evidence(c: &mut Criterion) {
     group.finish();
 }
 
-/// Batch throughput: many independent boards against one compiled tree.
-fn bench_batch_throughput(c: &mut Criterion) {
-    let (net, evidence) = regulator_setup();
-    let jt = JunctionTree::compile(&net).unwrap();
-    let mut group = c.benchmark_group("batch_diagnosis");
-    for n in [16usize, 64, 256] {
-        let boards: Vec<Evidence> = (0..n).map(|_| evidence.clone()).collect();
-        group.bench_with_input(BenchmarkId::new("sequential", n), &boards, |b, boards| {
-            let mut ws = jt.make_workspace();
-            b.iter(|| {
-                boards
-                    .iter()
-                    .map(|e| {
-                        jt.propagate_in(&mut ws, e)
-                            .unwrap()
-                            .all_posteriors()
-                            .unwrap()
-                    })
-                    .collect::<Vec<_>>()
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("parallel_batch", n),
-            &boards,
-            |b, boards| b.iter(|| jt.posteriors_batch(black_box(boards))),
-        );
-    }
-    group.finish();
-}
-
 /// The value-of-information decision loop of sequential adaptive
 /// diagnosis, over tests and over every latent as a probe: dozens of
 /// hypothetical propagations per decision, all through the compiled tree and reused
@@ -817,7 +787,6 @@ criterion_group!(
     benches,
     bench_regulator_inference,
     bench_repeated_evidence,
-    bench_batch_throughput,
     bench_sequential_voi,
     bench_lookahead_voi,
     bench_session_api,

@@ -59,15 +59,6 @@ fn bench_pipeline_stages(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    let batch: Vec<_> = case_studies()
-        .iter()
-        .cycle()
-        .take(64)
-        .map(|case| case.observation())
-        .collect();
-    group.bench_function("diagnose_batch_64_boards", |b| {
-        b.iter(|| fitted.engine.diagnose_batch(black_box(&batch)))
-    });
     group.bench_function("golden_device_simulation", |b| {
         let golden = Device::golden(&rig.circuit);
         let mut rng = StdRng::seed_from_u64(9);

@@ -8,7 +8,6 @@ use crate::error::Result;
 use crate::session::CompiledModel;
 use abbd_bbn::{Evidence, PropagationWorkspace};
 use abbd_dlog2bbn::NamedCase;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -244,11 +243,6 @@ impl DiagnosticEngine {
         })
     }
 
-    /// Wraps an already-compiled model (sharing it, not re-compiling).
-    pub fn from_compiled(compiled: Arc<CompiledModel>) -> Self {
-        DiagnosticEngine { compiled }
-    }
-
     /// The shareable compilation artifact behind the engine: hand clones
     /// of this [`Arc`] to concurrent [`crate::DiagnosisSession`]s.
     pub fn compiled(&self) -> &Arc<CompiledModel> {
@@ -321,8 +315,8 @@ impl DiagnosticEngine {
 
     /// [`DiagnosticEngine::diagnose`] with a caller-provided reusable
     /// workspace: the junction-tree propagation runs entirely inside
-    /// preallocated buffers, which is what the batch path and long-lived
-    /// query loops use.
+    /// preallocated buffers, which is what long-lived query loops over many
+    /// boards use.
     ///
     /// # Errors
     ///
@@ -333,38 +327,7 @@ impl DiagnosticEngine {
         observation: &Observation,
     ) -> Result<Diagnosis> {
         let evidence = self.evidence_from(observation)?;
-        self.diagnose_with_evidence(ws, observation, &evidence)
-    }
-
-    /// [`DiagnosticEngine::diagnose_with`] over evidence the caller
-    /// already derived from `observation` (and keeps in lockstep with
-    /// it). The sequential decision loop calls this every iteration, so
-    /// it must not pay for rebuilding the evidence map per diagnosis.
-    pub(crate) fn diagnose_with_evidence(
-        &self,
-        ws: &mut PropagationWorkspace,
-        observation: &Observation,
-        evidence: &Evidence,
-    ) -> Result<Diagnosis> {
-        self.compiled.diagnose_in(ws, observation, evidence)
-    }
-
-    /// Diagnoses a whole batch of independent observations (one per board
-    /// under test) in parallel against this one compiled engine, with a
-    /// reused propagation workspace per worker thread.
-    ///
-    /// Results come back in input order. Each board succeeds or fails
-    /// independently — a malformed or impossible observation yields an
-    /// `Err` in its slot without poisoning the rest of the batch, matching
-    /// how an ATE flow must tolerate individual weird boards.
-    pub fn diagnose_batch(&self, observations: &[Observation]) -> Vec<Result<Diagnosis>> {
-        observations
-            .par_iter()
-            .map_init(
-                || self.make_workspace(),
-                |ws, obs| self.diagnose_with(ws, obs),
-            )
-            .collect()
+        self.compiled.diagnose_in(ws, observation, &evidence)
     }
 }
 
@@ -485,35 +448,6 @@ mod tests {
         obs.set("pin", 1).set("out1", 1).set("out2", 1);
         let d = eng.diagnose(&obs).unwrap();
         assert!(d.candidates().is_empty(), "got {:?}", d.candidates());
-    }
-
-    #[test]
-    fn diagnose_batch_matches_sequential_and_isolates_failures() {
-        let eng = engine();
-        let mut batch: Vec<Observation> = Vec::new();
-        for (o1, o2) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-            let mut obs = Observation::new();
-            obs.set("pin", 1).set("out1", o1).set("out2", o2);
-            batch.push(obs);
-        }
-        let mut ghost = Observation::new();
-        ghost.set("ghost", 0);
-        batch.push(ghost);
-
-        let results = eng.diagnose_batch(&batch);
-        assert_eq!(results.len(), batch.len());
-        for (obs, got) in batch[..4].iter().zip(&results) {
-            let sequential = eng.diagnose(obs).unwrap();
-            let got = got.as_ref().expect("valid observation");
-            assert_eq!(
-                got.posteriors(),
-                sequential.posteriors(),
-                "batch must be exact"
-            );
-            assert_eq!(got.candidates(), sequential.candidates());
-            assert!((got.log_likelihood() - sequential.log_likelihood()).abs() < 1e-15);
-        }
-        assert!(matches!(results[4], Err(Error::InvalidObservation { .. })));
     }
 
     #[test]

@@ -46,7 +46,7 @@
 //!
 //! [`HierarchicalSession`] runs the two-phase loop: rank and apply
 //! summary tests on the root until some block's posterior fault mass
-//! reaches [`HierarchicalModel::descend_threshold`] (or the root isolates
+//! reaches [`DEFAULT_DESCEND_THRESHOLD`] (or the root isolates
 //! a block under its stopping policy), then descend — compile the child
 //! if this is the block's first visit, open a child [`DiagnosisSession`],
 //! **lift the board evidence down** (every observation naming a child
@@ -71,7 +71,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// The default block fault-mass threshold that triggers descent from the
+/// The block fault-mass threshold that triggers descent from the
 /// abstract root into a block's compiled sub-model.
 pub const DEFAULT_DESCEND_THRESHOLD: f64 = 0.5;
 
@@ -149,7 +149,6 @@ pub struct HierarchicalModel {
     interface: Vec<String>,
     interface_ids: Vec<VarId>,
     blocks: Vec<BlockEntry>,
-    descend_threshold: f64,
     submodel_compiles: AtomicU64,
 }
 
@@ -181,24 +180,8 @@ impl HierarchicalModel {
             interface,
             interface_ids,
             blocks: entries,
-            descend_threshold: DEFAULT_DESCEND_THRESHOLD,
             submodel_compiles: AtomicU64::new(0),
         })
-    }
-
-    /// Replaces the descend threshold (builder style, before sharing).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Hierarchy`] unless `0 < threshold <= 1`.
-    pub fn with_descend_threshold(mut self, threshold: f64) -> Result<Self> {
-        if !(threshold > 0.0 && threshold <= 1.0) {
-            return Err(Error::Hierarchy(format!(
-                "descend threshold {threshold} outside (0, 1]"
-            )));
-        }
-        self.descend_threshold = threshold;
-        Ok(self)
     }
 
     /// Wraps the tree for concurrent sharing.
@@ -235,11 +218,6 @@ impl HierarchicalModel {
     /// The index of the named block.
     pub fn block_index(&self, name: &str) -> Option<usize> {
         self.blocks.iter().position(|b| b.spec.name == name)
-    }
-
-    /// The block fault-mass threshold that triggers descent.
-    pub fn descend_threshold(&self) -> f64 {
-        self.descend_threshold
     }
 
     /// How many child sub-models have been lazily compiled so far — the
@@ -941,7 +919,7 @@ impl HierarchicalSession {
         let Some((idx, mass)) = best else {
             return Ok(false);
         };
-        if force || mass >= self.model.descend_threshold() {
+        if force || mass >= DEFAULT_DESCEND_THRESHOLD {
             self.descend(idx)?;
             return Ok(true);
         }

@@ -44,7 +44,7 @@
 //! posteriors given full interface evidence match the flat model exactly.
 //! [`HierarchicalSession`] drives the two-phase loop through the same
 //! [`Action`] vocabulary: isolate a suspect block on the root, descend
-//! once its fault mass crosses [`HierarchicalModel::descend_threshold`],
+//! once its fault mass crosses [`DEFAULT_DESCEND_THRESHOLD`],
 //! lift the board evidence down, and finish block-locally. The
 //! [`hierarchy`] module docs spell out the extraction contract, the
 //! interface semantics and the descent policy.

@@ -155,24 +155,6 @@ pub fn synthesize_with(
     })
 }
 
-/// Diagnoses a whole population of cases (one per `(device, suite)`) in a
-/// single parallel batch against one compiled engine — the serving shape
-/// of the ATE return-floor loop. Results come back in case order; each
-/// case succeeds or fails independently.
-///
-/// This is the designs-layer face of
-/// [`abbd_core::DiagnosticEngine::diagnose_batch`]: it maps Dlog2BBN cases
-/// to observations and fans them out with one reused propagation
-/// workspace per worker thread.
-pub fn diagnose_population(
-    engine: &DiagnosticEngine,
-    cases: &[NamedCase],
-) -> Vec<std::result::Result<abbd_core::Diagnosis, abbd_core::Error>> {
-    let observations: Vec<abbd_core::Observation> =
-        cases.iter().map(abbd_core::Observation::from).collect();
-    engine.diagnose_batch(&observations)
-}
-
 /// Runs the paper's §IV flow end to end: fabricate `n_failing` defective
 /// devices, test them, convert the datalogs to cases with Dlog2BBN,
 /// fine-tune the expert model, and compile the diagnostic engine.
@@ -234,37 +216,6 @@ mod tests {
         let b = quick_fit();
         assert_eq!(a.engine.model().network(), b.engine.model().network());
         assert_eq!(a.cases, b.cases);
-    }
-
-    #[test]
-    fn batch_population_diagnosis_matches_sequential() {
-        let fitted = quick_fit();
-        let cases: Vec<NamedCase> = fitted
-            .cases
-            .iter()
-            .filter(|c| !c.failing.is_empty())
-            .take(12)
-            .cloned()
-            .collect();
-        assert!(
-            !cases.is_empty(),
-            "a failing population yields failing cases"
-        );
-        let batch = diagnose_population(&fitted.engine, &cases);
-        assert_eq!(batch.len(), cases.len());
-        for (case, got) in cases.iter().zip(&batch) {
-            let obs = abbd_core::Observation::from(case);
-            match (fitted.engine.diagnose(&obs), got) {
-                (Ok(seq), Ok(batched)) => {
-                    assert_eq!(batched.posteriors(), seq.posteriors());
-                    assert_eq!(batched.candidates(), seq.candidates());
-                }
-                (Err(_), Err(_)) => {}
-                (seq, batched) => {
-                    panic!("batch/sequential disagree: {seq:?} vs {batched:?}")
-                }
-            }
-        }
     }
 
     #[test]

@@ -42,18 +42,6 @@ impl StimulusAxis {
             values: values.into(),
         }
     }
-
-    /// `n` evenly spaced values across `[lo, hi]` inclusive.
-    pub fn linspace(net: impl Into<String>, lo: f64, hi: f64, n: usize) -> Self {
-        let values = match n {
-            0 => Vec::new(),
-            1 => vec![lo],
-            _ => (0..n)
-                .map(|i| lo + (hi - lo) * i as f64 / (n - 1) as f64)
-                .collect(),
-        };
-        StimulusAxis::new(net, values)
-    }
 }
 
 /// One measured output: the net, the pass tolerance around the golden

@@ -719,10 +719,10 @@ fn parse_batch_binary(body: &[u8]) -> Result<BatchRequest, ApiError> {
 }
 
 /// Fans `observations` across up to `workers` scoped threads, one
-/// preallocated propagation workspace per thread (the same
-/// one-workspace-per-worker shape as
-/// [`abbd_core::DiagnosticEngine::diagnose_batch`]), and stitches the
-/// per-item results back in request order. Each scoped thread reports
+/// preallocated propagation workspace per thread, and stitches the
+/// per-item results back in request order. This is the only parallel
+/// batch path; library callers loop [`CompiledModel::diagnose_in`] over
+/// one reused workspace instead. Each scoped thread reports
 /// its (thread-local) junction-tree compile delta into `compiles` —
 /// the counter is per-thread, so the connection worker's own sampling
 /// cannot see what happens here.

@@ -20,7 +20,10 @@ use abbd_core::{
 use abbd_designs::regulator::cases::{case_studies, CaseStudy};
 use abbd_designs::regulator::program::{suite_plans, SuitePlan, OBSERVED_VARS};
 use abbd_designs::regulator::{self};
-use abbd_server::{Client, ModelRegistry, OpenSessionReply, Server, ServerConfig, StatsReport};
+use abbd_server::{
+    codec, ApiError, BatchDiagnosis, BatchEntry, BatchReply, BatchRequest, Client, ModelRegistry,
+    OpenSessionReply, Server, ServerConfig, StatsReport,
+};
 use std::sync::{Arc, OnceLock};
 
 const CLIENTS: usize = 8;
@@ -315,4 +318,120 @@ fn stateless_endpoint_agrees_with_stored_sessions() {
         bodies.push(reply);
     }
     assert_eq!(bodies[0], bodies[1]);
+}
+
+/// The header frame of a binary batch request.
+#[derive(serde::Serialize)]
+struct BatchHead {
+    deduction: Option<DeductionPolicy>,
+}
+
+/// `fan_out` is the only parallel batch path, so its row dedupe and
+/// chunking must be exact: every reply entry, at any worker count and in
+/// either codec, is byte-equal to diagnosing that row on its own.
+#[test]
+fn batch_fan_out_matches_row_by_row_diagnosis() {
+    let compiled = compiled_regulator();
+    let cases: Vec<Observation> = case_studies().iter().map(CaseStudy::observation).collect();
+    // d1's pairs in reverse order: the same evidence, another encoding,
+    // so it must stay its own group.
+    let mut reordered = Observation::new();
+    let mut pairs: Vec<(&str, usize)> = cases[0].iter().collect();
+    pairs.reverse();
+    for (name, state) in pairs {
+        reordered.set(name, state);
+    }
+    for name in cases[0].failing() {
+        reordered.mark_failing(name.as_str());
+    }
+    assert_ne!(reordered, cases[0]);
+    let mut ghost = Observation::new();
+    ghost.set("ghost", 0);
+    let mut rows: Vec<Observation> = Vec::new();
+    rows.extend(cases.iter().cloned());
+    rows.push(reordered);
+    rows.extend(cases.iter().rev().cloned());
+    rows.push(ghost);
+    rows.extend(cases[..2].iter().cloned());
+    let ghost_row = cases.len() * 2 + 1;
+
+    // The in-process reference: one diagnosis per row, in input order.
+    let policy = *compiled.policy();
+    let mut ws = compiled.make_workspace();
+    let expected: Vec<BatchEntry> = rows
+        .iter()
+        .map(|obs| {
+            let diagnosed = compiled
+                .evidence_from(obs)
+                .and_then(|e| compiled.diagnose_with_policy_in(&mut ws, obs, &e, &policy));
+            match diagnosed {
+                Ok(d) => BatchEntry {
+                    ok: Some(BatchDiagnosis {
+                        posteriors: d.posteriors().to_vec(),
+                        fault_mass: d
+                            .fault_mass()
+                            .iter()
+                            .map(|(n, &m)| (n.clone(), m))
+                            .collect(),
+                        candidates: d.candidates().to_vec(),
+                        top_candidate: d.top_candidate().map(str::to_string),
+                        log_likelihood: d.log_likelihood(),
+                    }),
+                    error: None,
+                },
+                Err(e) => BatchEntry {
+                    ok: None,
+                    error: Some(ApiError::from_core(&e)),
+                },
+            }
+        })
+        .collect();
+    for (i, entry) in expected.iter().enumerate() {
+        assert_eq!(entry.ok.is_none(), i == ghost_row, "row {i}");
+    }
+    assert_eq!(expected[ghost_row].error.as_ref().unwrap().status, 422);
+    let expected_json = serde_json::to_string(&BatchReply {
+        reports: expected.clone(),
+    })
+    .unwrap();
+    let mut expected_binary = Vec::new();
+    for entry in &expected {
+        codec::frame_into(entry, &mut expected_binary);
+    }
+
+    let json_body = serde_json::to_string(&BatchRequest {
+        observations: rows.clone(),
+        deduction: None,
+    })
+    .unwrap();
+    let mut binary_body = Vec::new();
+    codec::frame_into(&BatchHead { deduction: None }, &mut binary_body);
+    for row in &rows {
+        codec::frame_into(row, &mut binary_body);
+    }
+    for workers in [1, 4] {
+        let registry = ModelRegistry::new()
+            .insert("regulator", Arc::clone(compiled))
+            .freeze();
+        let server = Server::start(
+            registry,
+            ServerConfig {
+                workers,
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server binds");
+        let mut client = Client::connect(server.addr()).expect("client connects");
+        let path = "/v1/models/regulator/diagnose_batch";
+        let (status, body) = client.post(path, &json_body).expect("batch posts");
+        assert_eq!(status, 200, "JSON batch failed: {body}");
+        assert_eq!(body, expected_json, "JSON reply, {workers} worker(s)");
+        let (status, bytes) = client.post_binary(path, &binary_body).expect("batch posts");
+        assert_eq!(status, 200, "binary batch failed");
+        assert_eq!(bytes, expected_binary, "binary reply, {workers} worker(s)");
+        let (_, stats) = client.get("/v1/stats").expect("stats");
+        let stats: StatsReport = serde_json::from_str(&stats).expect("stats parse");
+        assert_eq!(stats.worker_compiles, 0, "the fan-out never compiles");
+        server.shutdown();
+    }
 }
