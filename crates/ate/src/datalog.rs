@@ -13,38 +13,38 @@
 
 use crate::error::{Error, Result};
 use crate::tester::{DeviceLog, Record};
-use bytes::{BufMut, BytesMut};
+use std::fmt::Write as _;
 
 const HEADER: &str = "#ABBD-DATALOG v1";
 
 /// Serialises device logs into the ASCII datalog format.
 pub fn write_datalog(logs: &[DeviceLog]) -> String {
-    // BytesMut keeps the append loop allocation-friendly for large
-    // populations before the final UTF-8 freeze.
-    let mut buf = BytesMut::with_capacity(logs.len() * 256 + 64);
-    buf.put_slice(HEADER.as_bytes());
-    buf.put_u8(b'\n');
+    let mut out = String::with_capacity(logs.len() * 256 + 64);
+    out.push_str(HEADER);
+    out.push('\n');
+    // Writing into a `String` cannot fail, so the `fmt::Result`s are moot.
     for log in logs {
         if log.truth.is_empty() {
-            buf.put_slice(format!("DEVICE {}\n", log.device_id).as_bytes());
+            let _ = writeln!(out, "DEVICE {}", log.device_id);
         } else {
-            buf.put_slice(
-                format!("DEVICE {} truth={}\n", log.device_id, log.truth.join(",")).as_bytes(),
+            let _ = writeln!(
+                out,
+                "DEVICE {} truth={}",
+                log.device_id,
+                log.truth.join(",")
             );
         }
         for r in &log.records {
             let verdict = if r.passed { 'P' } else { 'F' };
-            buf.put_slice(
-                format!(
-                    "RECORD {}|{}|{}|{}|{:.6}|{:.6}|{:.6}|{}\n",
-                    r.suite, r.test_number, r.test_name, r.net, r.lo, r.hi, r.value, verdict
-                )
-                .as_bytes(),
+            let _ = writeln!(
+                out,
+                "RECORD {}|{}|{}|{}|{:.6}|{:.6}|{:.6}|{}",
+                r.suite, r.test_number, r.test_name, r.net, r.lo, r.hi, r.value, verdict
             );
         }
-        buf.put_slice(b"END\n");
+        out.push_str("END\n");
     }
-    String::from_utf8(buf.to_vec()).expect("datalog content is always UTF-8")
+    out
 }
 
 /// Parses a datalog produced by [`write_datalog`] (or a compatible tool).
@@ -229,6 +229,17 @@ mod tests {
     fn roundtrip() {
         let logs = sample_logs();
         let text = write_datalog(&logs);
+        assert_eq!(
+            text,
+            "#ABBD-DATALOG v1\n\
+             DEVICE 1\n\
+             RECORD s1|100|t_a|vout|4.750000|5.250000|5.000000|P\n\
+             END\n\
+             DEVICE 2 truth=bandgap:dead\n\
+             RECORD s1|100|t_a|vout|4.750000|5.250000|0.001000|F\n\
+             RECORD s2|200|t_b|vref|1.100000|1.300000|NaN|F\n\
+             END\n"
+        );
         let parsed = parse_datalog(&text).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].device_id, 1);

@@ -1500,17 +1500,9 @@ impl DiagnosisSession {
             .iter()
             .map(ScoredAction::to_ranked)
             .collect();
-        let stop = if let Some(reason) = self.pre_scoring_stop(&diagnosis) {
-            Some(reason)
-        } else if ranked.is_empty() {
-            Some(StopReason::Exhausted)
-        } else {
-            let best_value = ranked
-                .iter()
-                .map(|r| r.gain)
-                .fold(f64::NEG_INFINITY, f64::max);
-            (best_value < self.policy.min_gain).then_some(StopReason::GainBelowThreshold)
-        };
+        let stop = self
+            .pre_scoring_stop(&diagnosis)
+            .or_else(|| self.post_scoring_stop());
         Ok(SessionReport {
             posteriors: diagnosis.posteriors().to_vec(),
             fault_mass: fault_mass_entries(&diagnosis),
@@ -1576,7 +1568,7 @@ impl DiagnosisSession {
 
     /// Evaluates the pre-scoring stop conditions against `diagnosis`:
     /// isolation and the step budget. (The gain-dependent conditions need
-    /// a scoring pass and live in [`DiagnosisSession::next_action`].)
+    /// a scoring pass: see [`DiagnosisSession::post_scoring_stop`].)
     fn pre_scoring_stop(&self, diagnosis: &Diagnosis) -> Option<StopReason> {
         if self.isolated(diagnosis) {
             Some(StopReason::Isolated)
@@ -1585,6 +1577,23 @@ impl DiagnosisSession {
         } else {
             None
         }
+    }
+
+    /// Evaluates the post-scoring stop conditions against the candidate
+    /// set the last [`DiagnosisSession::rank_actions`] scored: exhaustion
+    /// and the gain floor. [`DiagnosisSession::report`] and
+    /// [`DiagnosisSession::next_action`] both stop through this, so the
+    /// wire verdict and the stepping verdict cannot drift apart.
+    fn post_scoring_stop(&self) -> Option<StopReason> {
+        if self.candidates.is_empty() {
+            return Some(StopReason::Exhausted);
+        }
+        let best_value = self
+            .candidates
+            .iter()
+            .map(ScoredAction::expected_information_gain)
+            .fold(f64::NEG_INFINITY, f64::max);
+        (best_value < self.policy.min_gain).then_some(StopReason::GainBelowThreshold)
     }
 
     /// Enables or disables decision tracing. Enabling starts a fresh
@@ -1644,20 +1653,9 @@ impl DiagnosisSession {
             self.last_diagnosis = Some(diagnosis);
             return Ok(None);
         }
-        let min_gain = self.policy.min_gain;
         self.rank_actions()?;
-        if self.candidates.is_empty() {
-            self.stop = Some(StopReason::Exhausted);
-            self.last_diagnosis = Some(diagnosis);
-            return Ok(None);
-        }
-        let best_value = self
-            .candidates
-            .iter()
-            .map(ScoredAction::expected_information_gain)
-            .fold(f64::NEG_INFINITY, f64::max);
-        if best_value < min_gain {
-            self.stop = Some(StopReason::GainBelowThreshold);
+        if let Some(reason) = self.post_scoring_stop() {
+            self.stop = Some(reason);
             self.last_diagnosis = Some(diagnosis);
             return Ok(None);
         }
@@ -1965,6 +1963,58 @@ mod tests {
             outcome.diagnosis.top_candidate()
         );
         assert_eq!(stepped.applied().len(), applied.len());
+    }
+
+    /// The wire verdict ([`DiagnosisSession::report`]) and the stepping
+    /// verdict ([`DiagnosisSession::next_action`]) must agree on every
+    /// stop reason for the same evidence and policy.
+    #[test]
+    fn report_stop_matches_the_stepping_stop() {
+        let compiled = toy_compiled_model();
+        let check = |expected, evidence: &[(&str, usize)], policy| {
+            let open = || {
+                let mut s = DiagnosisSession::new(Arc::clone(&compiled), policy).unwrap();
+                for &(variable, state) in evidence {
+                    s.observe(variable, state).unwrap();
+                }
+                s
+            };
+            let report = open().report().unwrap();
+            let mut stepped = open();
+            assert_eq!(stepped.next_action().unwrap(), None, "{expected:?}");
+            assert_eq!(report.stop, stepped.stop_reason(), "{expected:?}");
+            assert_eq!(report.stop, Some(expected));
+        };
+        let default = StoppingPolicy::default();
+        check(
+            StopReason::Isolated,
+            &[("pin", 1), ("out1", 0), ("out2", 0)],
+            StoppingPolicy {
+                fault_mass_threshold: 0.5,
+                ..default
+            },
+        );
+        check(
+            StopReason::MaxSteps,
+            &[("pin", 1)],
+            StoppingPolicy {
+                max_steps: 0,
+                ..default
+            },
+        );
+        check(
+            StopReason::Exhausted,
+            &[("pin", 1), ("out1", 1), ("out2", 1), ("out3", 1)],
+            default,
+        );
+        check(
+            StopReason::GainBelowThreshold,
+            &[("pin", 1)],
+            StoppingPolicy {
+                min_gain: 1e6,
+                ..default
+            },
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client over one keep-alive connection —
-//! just enough to drive the service from tests, benches and the
-//! `abbd-loadgen` binary without external dependencies.
+//! just enough to drive the service from tests, benches and examples
+//! without external dependencies.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -11,10 +11,6 @@ use std::time::Duration;
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
-    /// Reused encode buffer for [`Client::post_json`] /
-    /// [`Client::post_frame`]: request bodies stream straight into it,
-    /// so steady-state sends allocate nothing.
-    encode_buf: Vec<u8>,
 }
 
 impl Client {
@@ -31,7 +27,6 @@ impl Client {
         Ok(Client {
             reader,
             writer: stream,
-            encode_buf: Vec::new(),
         })
     }
 
@@ -154,54 +149,6 @@ impl Client {
             ],
             frame,
         )
-    }
-
-    /// `POST path` serialising `value` as JSON straight into the
-    /// client's reused encode buffer (no intermediate `Value` tree or
-    /// `String`).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::request`].
-    pub fn post_json<T: serde::Serialize>(
-        &mut self,
-        path: &str,
-        value: &T,
-    ) -> io::Result<(u16, String)> {
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        buf.clear();
-        value.write_json(&mut buf);
-        let result = self.request("POST", path, &buf);
-        self.encode_buf = buf;
-        result
-    }
-
-    /// `POST path` serialising `value` as one compact-binary frame
-    /// straight into the client's reused encode buffer, asking for a
-    /// binary reply (same reply convention as [`Client::post_binary`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Client::request`].
-    pub fn post_frame<T: serde::Serialize>(
-        &mut self,
-        path: &str,
-        value: &T,
-    ) -> io::Result<(u16, Vec<u8>)> {
-        let mut buf = std::mem::take(&mut self.encode_buf);
-        buf.clear();
-        crate::codec::frame_into(value, &mut buf);
-        let result = self.request_with(
-            "POST",
-            path,
-            &[
-                ("content-type", crate::codec::CONTENT_TYPE),
-                ("accept", crate::codec::CONTENT_TYPE),
-            ],
-            &buf,
-        );
-        self.encode_buf = buf;
-        result
     }
 
     /// Writes raw bytes down the connection *without* HTTP framing — the

@@ -12,12 +12,12 @@
 //! One event-loop thread owns every socket: it accepts, reads, parses
 //! and writes without blocking, and hands only *complete* requests to
 //! the workers through a bounded queue. An idle keep-alive connection
-//! therefore costs a socket and a few buffers — not a worker thread —
-//! so a 4-worker server holds thousands of idle connections (the
-//! `scaling` integration test drives hundreds concurrently; `abbd-
-//! loadgen --idle-soak` holds 1000+). When the queue is full the event
-//! loop answers `503` with a `retry-after` header itself: overload is
-//! explicit backpressure, never unbounded memory.
+//! therefore costs a socket and a few buffers — not a worker thread.
+//! The tests pin this: 64 idle connections stay live beside an active
+//! one on a single worker, and the `scaling` integration test drives
+//! 200 keep-alive clients through 4 workers. When the queue is full the
+//! event loop answers `503` with a `retry-after` header itself: overload
+//! is explicit backpressure, never unbounded memory.
 //!
 //! Serving never compiles: every junction tree is triangulated at
 //! registration time, worker threads propagate through shared compiled

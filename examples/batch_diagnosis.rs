@@ -80,6 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_batch,
         observations.len()
     );
+    assert_eq!(batch, sequential, "every batch verdict must match the loop");
 
     // Tally the culprits the floor would see.
     let mut counts: std::collections::BTreeMap<&str, usize> = Default::default();
