@@ -49,6 +49,9 @@ pub enum Error {
     DuplicateInScope(String),
     /// The evidence has zero probability under the model.
     ImpossibleEvidence,
+    /// A propagation workspace was read as calibrated but holds no
+    /// calibrated beliefs.
+    Uncalibrated,
     /// An iterative algorithm failed to converge.
     NotConverged {
         /// The algorithm that gave up.
@@ -102,6 +105,9 @@ impl fmt::Display for Error {
             Error::ImpossibleEvidence => {
                 write!(f, "evidence has zero probability under the model")
             }
+            Error::Uncalibrated => {
+                write!(f, "workspace holds no calibrated beliefs; propagate first")
+            }
             Error::NotConverged { what, iterations } => {
                 write!(f, "{what} did not converge within {iterations} iterations")
             }
@@ -151,6 +157,7 @@ mod tests {
             Error::NotInScope("t".into()),
             Error::DuplicateInScope("s".into()),
             Error::ImpossibleEvidence,
+            Error::Uncalibrated,
             Error::NotConverged {
                 what: "EM".into(),
                 iterations: 10,

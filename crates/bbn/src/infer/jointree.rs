@@ -21,6 +21,14 @@
 //! only the affected table contents are recomputed. Many independent
 //! evidence sets (one per board under test) loop `propagate_in` over one
 //! reused workspace.
+//!
+//! A propagation is three steps over the workspace: load (restore the
+//! base tables, absorb the evidence), collect, and distribute plus
+//! normalise. [`JunctionTree::log_likelihood_in`] is the collect-only
+//! entry point: it loads, multiplies extra 0/1 masks into their home
+//! cliques, runs the same collect loop and returns `ln P(e, masks)`,
+//! skipping the distribute that a likelihood never reads. Candidate
+//! deduction asks its exoneration queries through it.
 
 use crate::error::{Error, Result};
 use crate::evidence::Evidence;
@@ -545,8 +553,27 @@ impl JunctionTree {
     }
 
     /// The propagation body shared by [`JunctionTree::propagate_in`] and
-    /// [`JunctionTree::propagate_hypotheticals_in`].
+    /// [`JunctionTree::propagate_hypotheticals_in`]: load, collect, then
+    /// distribute and normalise.
     fn propagate_ws(
+        &self,
+        ws: &mut PropagationWorkspace,
+        evidence: &Evidence,
+        hypotheticals: &[(VarId, usize)],
+    ) -> Result<()> {
+        self.load(ws, evidence, hypotheticals)?;
+        ws.log_likelihood = self.collect(ws)?;
+        self.distribute(ws)?;
+        ws.calibrated = true;
+        Ok(())
+    }
+
+    /// Validates the evidence and the workspace, marks the workspace
+    /// uncalibrated, restores the evidence-free potentials (pure memcpy)
+    /// and absorbs the findings in each variable's home clique. Hard
+    /// evidence keeps the variable in scope with a one-hot axis, so its
+    /// posterior collapses to a point mass.
+    fn load(
         &self,
         ws: &mut PropagationWorkspace,
         evidence: &Evidence,
@@ -555,11 +582,6 @@ impl JunctionTree {
         evidence.validate(&self.net)?;
         self.check_workspace(ws)?;
         ws.calibrated = false;
-
-        // Restore the evidence-free potentials (pure memcpy) and absorb the
-        // findings in each variable's home clique. Hard evidence keeps the
-        // variable in scope with a one-hot axis, so its posterior collapses
-        // to a point mass.
         for (belief, base) in ws.beliefs.iter_mut().zip(&self.sched.base) {
             belief.copy_from_slice(base);
         }
@@ -571,9 +593,13 @@ impl JunctionTree {
             let slot = self.sched.slots[var.index()];
             scale_axis_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, lik);
         }
+        Ok(())
+    }
 
-        // Collect: leaves towards clique 0. Messages are normalised and the
-        // normaliser accumulated so deep trees cannot underflow.
+    /// Collect: leaves towards clique 0, returning `ln` of the total mass
+    /// of the loaded tables. Messages are normalised and the normaliser
+    /// accumulated so deep trees cannot underflow.
+    fn collect(&self, ws: &mut PropagationWorkspace) -> Result<f64> {
         let mut log_scale = 0.0f64;
         for &(child, par, eidx) in &self.sched.collect_schedule {
             let edge = &self.sched.edges[eidx];
@@ -605,9 +631,12 @@ impl JunctionTree {
         if root_total <= 0.0 {
             return Err(Error::ImpossibleEvidence);
         }
-        ws.log_likelihood = root_total.ln() + log_scale;
+        Ok(root_total.ln() + log_scale)
+    }
 
-        // Distribute: root towards leaves, dividing out the stored message.
+    /// Distribute (root towards leaves, dividing out the stored collect
+    /// message), then normalise every clique to its posterior `P(C | e)`.
+    fn distribute(&self, ws: &mut PropagationWorkspace) -> Result<()> {
         for &(child, par, eidx) in self.sched.collect_schedule.iter().rev() {
             let edge = &self.sched.edges[eidx];
             let new_msg = &mut ws.scratch[eidx];
@@ -640,7 +669,6 @@ impl JunctionTree {
             );
         }
 
-        // Normalise beliefs to clique posteriors P(C | e).
         for belief in &mut ws.beliefs {
             let z: f64 = belief.iter().sum();
             if z <= 0.0 || !z.is_finite() {
@@ -650,8 +678,87 @@ impl JunctionTree {
                 *v /= z;
             }
         }
-        ws.calibrated = true;
         Ok(())
+    }
+
+    /// The log-likelihood `ln P(e, masks)` of `evidence` with each
+    /// `(var, mask)` multiplied in as one more likelihood on `var`, from
+    /// the collect pass alone: no distribute, no normalisation, no
+    /// allocation. The answer is the `ln P(e′)` that
+    /// [`JunctionTree::propagate_in`] reports for `e′` = `evidence` with
+    /// the masks folded in, bit for bit when every mask entry is 0 or 1
+    /// (those products are exact in any order).
+    ///
+    /// This is the exoneration query of candidate deduction: with 0/1
+    /// healthy-state masks on a block's latent ancestors it gives
+    /// `P(e, all ancestors healthy)`. The workspace is left uncalibrated.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidEvidence`] for a mask on a variable outside
+    /// the network, of the wrong length, or with a negative or
+    /// non-finite entry; [`Error::ImpossibleEvidence`] when the masked
+    /// evidence has zero probability; plus evidence validation and
+    /// [`Error::ShapeMismatch`] for a foreign workspace. On error the
+    /// workspace stays usable.
+    pub fn log_likelihood_in(
+        &self,
+        ws: &mut PropagationWorkspace,
+        evidence: &Evidence,
+        masks: &[(VarId, &[f64])],
+    ) -> Result<f64> {
+        for &(var, mask) in masks {
+            if var.index() >= self.net.var_count() {
+                return Err(Error::InvalidEvidence {
+                    variable: format!("{var}"),
+                    reason: "not in network".into(),
+                });
+            }
+            if mask.len() != self.net.card(var) {
+                return Err(Error::InvalidEvidence {
+                    variable: self.net.name(var).into(),
+                    reason: format!(
+                        "mask length {} does not match cardinality {}",
+                        mask.len(),
+                        self.net.card(var)
+                    ),
+                });
+            }
+            if mask.iter().any(|w| !w.is_finite() || *w < 0.0) {
+                return Err(Error::InvalidEvidence {
+                    variable: self.net.name(var).into(),
+                    reason: "mask has negative or non-finite weight".into(),
+                });
+            }
+        }
+        self.load(ws, evidence, &[])?;
+        for &(var, mask) in masks {
+            let slot = self.sched.slots[var.index()];
+            scale_axis_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, mask);
+        }
+        self.collect(ws)
+    }
+
+    /// The read view over `ws` as the last successful
+    /// [`JunctionTree::propagate_in`] (or hypothetical propagation) left
+    /// it, without propagating again. The caller must know which evidence
+    /// that was.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] for a workspace shaped for another
+    /// tree and [`Error::Uncalibrated`] when the workspace holds no
+    /// calibrated beliefs (never propagated, a failed propagation, or a
+    /// [`JunctionTree::log_likelihood_in`] query since).
+    pub fn view_in<'t, 'w>(
+        &'t self,
+        ws: &'w PropagationWorkspace,
+    ) -> Result<CalibratedView<'t, 'w>> {
+        self.check_workspace(ws)?;
+        if !ws.calibrated {
+            return Err(Error::Uncalibrated);
+        }
+        Ok(CalibratedView { tree: self, ws })
     }
 
     /// Convenience wrapper: propagate through a fresh workspace and extract
@@ -1539,5 +1646,154 @@ mod tests {
             jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
         }
         assert_eq!(compile_count(), before + 1, "propagation must not compile");
+    }
+
+    /// `evidence` with each mask folded into its variable as a likelihood
+    /// (multiplied into an existing one), the way deduction used to build
+    /// its full-propagation exoneration query.
+    fn fold(evidence: &Evidence, masks: &[(VarId, &[f64])]) -> Evidence {
+        let mut out = evidence.clone();
+        for &(var, mask) in masks {
+            let mut weights = mask.to_vec();
+            if let Some(likelihood) = evidence.likelihood_of(var) {
+                for (w, l) in weights.iter_mut().zip(likelihood) {
+                    *w *= l;
+                }
+            }
+            out.observe_likelihood(var, weights);
+        }
+        out
+    }
+
+    #[test]
+    fn collect_only_log_likelihood_is_bitwise_the_folded_propagation() {
+        let spr = sprinkler();
+        let seven = seven_var_net();
+        let var = |net: &Network, name: &str| net.var(name).unwrap();
+        let evidence = |net: &Network, hard: &[(&str, usize)], soft: &[(&str, &[f64])]| {
+            let mut e = Evidence::new();
+            for &(name, state) in hard {
+                e.observe(var(net, name), state);
+            }
+            for &(name, weights) in soft {
+                e.observe_likelihood(var(net, name), weights.to_vec());
+            }
+            e
+        };
+        let spr_masks: &[(VarId, &[f64])] = &[
+            (var(&spr, "cloudy"), &[0.0, 1.0]),
+            (var(&spr, "rain"), &[1.0, 0.0]),
+        ];
+        let seven_masks: &[(VarId, &[f64])] = &[
+            (var(&seven, "v1"), &[1.0, 0.0, 1.0]),
+            (var(&seven, "v3"), &[0.0, 1.0]),
+        ];
+        type Masks<'a> = &'a [(VarId, &'a [f64])];
+        let cases: Vec<(&Network, Evidence, Masks)> = vec![
+            // Hard evidence.
+            (&spr, evidence(&spr, &[("wet", 1)], &[]), spr_masks),
+            (&seven, evidence(&seven, &[("v6", 1)], &[]), seven_masks),
+            // Soft evidence on an unmasked variable.
+            (
+                &spr,
+                evidence(&spr, &[("wet", 1)], &[("sprinkler", &[0.3, 0.9])]),
+                spr_masks,
+            ),
+            (
+                &seven,
+                evidence(&seven, &[("v6", 1)], &[("v5", &[0.2, 1.0, 0.5])]),
+                seven_masks,
+            ),
+            // Soft evidence on a masked variable.
+            (
+                &spr,
+                evidence(&spr, &[("wet", 1)], &[("rain", &[0.4, 1.7])]),
+                spr_masks,
+            ),
+            (
+                &seven,
+                evidence(&seven, &[("v6", 0)], &[("v1", &[0.5, 2.0, 0.25])]),
+                seven_masks,
+            ),
+            // Empty masks.
+            (
+                &spr,
+                evidence(&spr, &[("wet", 1)], &[("sprinkler", &[0.3, 0.9])]),
+                &[],
+            ),
+            (&seven, evidence(&seven, &[], &[]), &[]),
+        ];
+        for (net, e, masks) in &cases {
+            let jt = JunctionTree::compile(net).unwrap();
+            let mut ws = jt.make_workspace();
+            let mut full_ws = jt.make_workspace();
+            let collect_only = jt.log_likelihood_in(&mut ws, e, masks).unwrap();
+            let full = jt
+                .propagate_in(&mut full_ws, &fold(e, masks))
+                .unwrap()
+                .log_likelihood();
+            assert_eq!(
+                collect_only.to_bits(),
+                full.to_bits(),
+                "{e:?} masked by {masks:?}: {collect_only} vs {full}"
+            );
+            assert!(!ws.is_calibrated(), "a collect-only query never calibrates");
+            assert!(matches!(jt.view_in(&ws), Err(Error::Uncalibrated)));
+        }
+
+        // Masks that leave no mass: both paths report impossible evidence.
+        let jt = JunctionTree::compile(&spr).unwrap();
+        let mut ws = jt.make_workspace();
+        let e = evidence(&spr, &[("wet", 1)], &[]);
+        let dry: &[(VarId, &[f64])] = &[
+            (var(&spr, "sprinkler"), &[1.0, 0.0]),
+            (var(&spr, "rain"), &[1.0, 0.0]),
+        ];
+        assert!(matches!(
+            jt.log_likelihood_in(&mut ws, &e, dry),
+            Err(Error::ImpossibleEvidence)
+        ));
+        assert!(matches!(
+            jt.propagate_in(&mut ws, &fold(&e, dry)),
+            Err(Error::ImpossibleEvidence)
+        ));
+
+        // Malformed masks are rejected, and the workspace stays usable.
+        let want = jt.log_likelihood_in(&mut ws, &e, spr_masks).unwrap();
+        for bad in [
+            &[(VarId::from_index(99), &[1.0, 0.0][..])][..],
+            &[(var(&spr, "rain"), &[1.0][..])][..],
+            &[(var(&spr, "rain"), &[1.0, f64::NAN][..])][..],
+        ] {
+            assert!(matches!(
+                jt.log_likelihood_in(&mut ws, &e, bad),
+                Err(Error::InvalidEvidence { .. })
+            ));
+            let again = jt.log_likelihood_in(&mut ws, &e, spr_masks).unwrap();
+            assert_eq!(again.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn view_in_rereads_the_last_calibration() {
+        let net = seven_var_net();
+        let jt = JunctionTree::compile(&net).unwrap();
+        let v6 = net.var("v6").unwrap();
+        let mut e = Evidence::new();
+        e.observe(v6, 1);
+        let mut ws = jt.make_workspace();
+        assert!(matches!(jt.view_in(&ws), Err(Error::Uncalibrated)));
+        let fresh = jt
+            .propagate_in(&mut ws, &e)
+            .unwrap()
+            .all_posteriors()
+            .unwrap();
+        let reread = jt.view_in(&ws).unwrap().all_posteriors().unwrap();
+        assert!(fresh.max_abs_diff(&reread).unwrap() == 0.0);
+        let other = JunctionTree::compile(&sprinkler()).unwrap();
+        assert!(matches!(
+            other.view_in(&ws),
+            Err(Error::ShapeMismatch { .. })
+        ));
     }
 }

@@ -61,6 +61,9 @@ fn bench_regulator_inference(c: &mut Criterion) {
 /// (potentials rebuilt from CPTs with factor products on every call);
 /// `compiled_reused_workspace` reuses one workspace across queries and is
 /// the zero-allocation configuration batch serving uses.
+/// `compiled_log_likelihood_only` reads `ln P(e)` off a full propagation;
+/// `collect_only_log_likelihood` gets the same bits from the collect pass
+/// alone, the kernel of deduction's exoneration queries.
 fn bench_repeated_evidence(c: &mut Criterion) {
     let (net, evidence) = regulator_setup();
     let jt = JunctionTree::compile(&net).unwrap();
@@ -89,6 +92,13 @@ fn bench_repeated_evidence(c: &mut Criterion) {
             jt.propagate_in(&mut ws, black_box(&evidence))
                 .unwrap()
                 .log_likelihood()
+        })
+    });
+    group.bench_function("collect_only_log_likelihood", |b| {
+        let mut ws = jt.make_workspace();
+        b.iter(|| {
+            jt.log_likelihood_in(&mut ws, black_box(&evidence), &[])
+                .unwrap()
         })
     });
     group.finish();
@@ -220,7 +230,9 @@ fn bench_lookahead_voi(c: &mut Criterion) {
 /// `DiagnosisSession::rank_actions` (the contract: ≤5% apart);
 /// `serve_request_round` is the stateless serde boundary — open a
 /// session, seed it, diagnose, rank, assemble the report — i.e. what one
-/// service round costs on top of the kernels.
+/// service round costs on top of the kernels. `diagnose_fleet_rows16` is
+/// the diagnosis kernel alone (propagation plus §IV-B deduction) over 16
+/// fixed, distinct fleet rows: the per-row work of a batch request.
 fn bench_session_api(c: &mut Criterion) {
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let engine = fitted.engine;
@@ -297,7 +309,66 @@ fn bench_session_api(c: &mut Criterion) {
         let request = SessionRequest::new(controls.clone());
         b.iter(|| black_box(compiled.serve(black_box(&request)).unwrap().ranked.len()))
     });
+    group.bench_function("diagnose_fleet_rows16", |b| {
+        let rows = fleet_rows16(&compiled);
+        let policy = *compiled.policy();
+        let mut ws = compiled.make_workspace();
+        b.iter(|| {
+            let mut candidates = 0;
+            for (observation, evidence) in &rows {
+                candidates += compiled
+                    .diagnose_with_policy_in(&mut ws, observation, black_box(evidence), &policy)
+                    .unwrap()
+                    .candidates()
+                    .len();
+            }
+            black_box(candidates)
+        })
+    });
     group.finish();
+}
+
+/// Sixteen distinct regulator fleet rows (seed 1, the d1 stimulus, the
+/// regulator fault library) that `compiled` can diagnose, with their
+/// evidence: the rows a 16-row batch request diagnoses.
+fn fleet_rows16(compiled: &CompiledModel) -> Vec<(abbd_core::Observation, Evidence)> {
+    let rig = regulator::rig();
+    let model = abbd_core::ModelBuilder::new(rig.model)
+        .with_expert(rig.expert)
+        .build_expert_only()
+        .expect("expert-only model builds");
+    let controls: Vec<(String, usize)> = regulator::cases::case_studies()[0]
+        .controls
+        .iter()
+        .map(|&(name, state)| (name.to_string(), state))
+        .collect();
+    let fleet = abbd_scenarios::sample_model_population(
+        &model,
+        &regulator::faults::fault_library(),
+        &controls,
+        256,
+        1,
+    )
+    .expect("fleet samples");
+    let mut rows: Vec<(abbd_core::Observation, Evidence)> = Vec::new();
+    for scenario in &fleet {
+        let observation = scenario.observation(model.circuit_model());
+        if rows.iter().any(|(o, _)| *o == observation) {
+            continue;
+        }
+        let evidence = compiled.evidence_from(&observation).expect("evidence maps");
+        if compiled
+            .diagnose_in(&mut compiled.make_workspace(), &observation, &evidence)
+            .is_ok()
+        {
+            rows.push((observation, evidence));
+        }
+        if rows.len() == 16 {
+            break;
+        }
+    }
+    assert_eq!(rows.len(), 16, "the fleet has 16 distinct diagnosable rows");
+    rows
 }
 
 /// The service layer's price list, measured over real TCP on loopback:

@@ -15,10 +15,11 @@
 //!    that **at least one of its latent ancestors is faulty** reaches the
 //!    faulty threshold — its failure is then an expected consequence, and
 //!    "the suspicion falls back to the parent" exactly as in the paper.
-//!    The probability is exact: one propagation through the round's
+//!    The probability is exact: one collect pass through the round's
 //!    compiled junction tree with every latent ancestor held to its
 //!    healthy states gives `P(e, all healthy)`, and the round's own
-//!    propagation gives `P(e)`;
+//!    propagation gives `P(e)`. The answer depends only on the ancestor
+//!    set, so it is memoised per ancestor set for the round;
 //! 4. add a *self-candidate* for any observable block whose measurement
 //!    failed but whose latent ancestry is likely healthy (the block itself
 //!    is broken);
@@ -28,9 +29,10 @@
 //! for all five regulator case studies (d1 → `{warnvpst, hcbg}`, d2 →
 //! `{enb13}`, d3 → `{warnvpst}`, d4 → `{lcbg}`, d5 → `{enbsw}`).
 
+use crate::builder::DiagnosticModel;
 use crate::error::{Error, Result};
 use crate::session::CompiledModel;
-use abbd_bbn::{Evidence, PropagationWorkspace};
+use abbd_bbn::{Evidence, PropagationWorkspace, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -122,6 +124,100 @@ pub struct Candidate {
     pub conditional_fault_expectation: f64,
 }
 
+/// What deduction needs to know about one network variable, precomputed
+/// once per model.
+#[derive(Debug, Clone)]
+struct VarFacts {
+    latent: bool,
+    /// The failing-state indices.
+    faults: Vec<usize>,
+    /// The 0/1 healthy-state mask: 0 on fault states, 1 elsewhere.
+    healthy: Vec<f64>,
+    /// The latent ancestors, in [`crate::CircuitModel::latent_ancestors`]
+    /// order (the suspect walk's order).
+    ancestors: Vec<VarId>,
+    /// The interned id of the ancestor set: the memo key of its
+    /// exoneration query.
+    set: usize,
+}
+
+/// The deduction table [`CompiledModel::compile`] builds once per model:
+/// every variable's fault states, healthy mask and latent ancestors as
+/// [`VarId`]s, with each distinct ancestor set interned, so a round's
+/// queries walk no names and build no masks.
+#[derive(Debug, Clone)]
+pub(crate) struct AncestryTable {
+    /// Indexed by [`VarId::index`].
+    vars: Vec<VarFacts>,
+    /// Distinct ancestor sets, by id.
+    sets: Vec<Vec<VarId>>,
+}
+
+impl AncestryTable {
+    /// Builds the table for a fitted model.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownVariable`] for an ancestor outside the
+    /// network.
+    pub(crate) fn new(model: &DiagnosticModel) -> Result<Self> {
+        let circuit = model.circuit_model();
+        let network = model.network();
+        let latents = circuit.latents();
+        let mut ids: BTreeMap<Vec<VarId>, usize> = BTreeMap::new();
+        let mut sets: Vec<Vec<VarId>> = Vec::new();
+        let mut vars = Vec::with_capacity(network.var_count());
+        for var in network.variables() {
+            let name = network.name(var);
+            let faults = circuit.fault_states(name);
+            let healthy = (0..network.card(var))
+                .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
+                .collect();
+            let ancestors = circuit
+                .latent_ancestors(name)
+                .iter()
+                .map(|a| model.var(a))
+                .collect::<Result<Vec<VarId>>>()?;
+            let mut key = ancestors.clone();
+            key.sort_unstable();
+            let set = *ids.entry(key).or_insert_with(|| {
+                sets.push(ancestors.clone());
+                sets.len() - 1
+            });
+            vars.push(VarFacts {
+                latent: latents.contains(&name),
+                faults,
+                healthy,
+                ancestors,
+                set,
+            });
+        }
+        Ok(AncestryTable { vars, sets })
+    }
+
+    /// The latent ancestors of `var`, in the suspect walk's order.
+    fn ancestors(&self, var: VarId) -> &[VarId] {
+        &self.vars[var.index()].ancestors
+    }
+}
+
+/// One round's exoneration answers, memoised by ancestor-set id, plus the
+/// mask buffer the queries reuse.
+pub(crate) struct Exoneration<'a> {
+    answers: Vec<Option<f64>>,
+    masks: Vec<(VarId, &'a [f64])>,
+}
+
+impl<'a> Exoneration<'a> {
+    pub(crate) fn new(table: &'a AncestryTable) -> Self {
+        let widest = table.sets.iter().map(Vec::len).max().unwrap_or(0);
+        Exoneration {
+            answers: vec![None; table.sets.len()],
+            masks: Vec::with_capacity(widest),
+        }
+    }
+}
+
 /// What deduction reads from one diagnosis round: the compiled model the
 /// round propagated through, its evidence, the posteriors it extracted
 /// (spec order, as in [`crate::Diagnosis::posteriors`]) and its
@@ -133,7 +229,7 @@ pub(crate) struct Round<'a> {
     pub(crate) log_evidence: f64,
 }
 
-/// CPT-level fault expectation of `variable` given its parents' *benign*
+/// CPT-level fault expectation of `var` given its parents' *benign*
 /// configuration: control/observable parents take their observed (or most
 /// probable) states, latent parents take their most probable **non-fault**
 /// state. A high value means the block is expected to sit in a fault-band
@@ -144,11 +240,10 @@ pub(crate) struct Round<'a> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::UnknownVariable`] for a name outside the network.
-pub(crate) fn conditional_fault_expectation(round: &Round<'_>, variable: &str) -> Result<f64> {
-    let model = round.compiled.model().circuit_model();
+/// Propagates CPT-row lookup errors.
+pub(crate) fn conditional_fault_expectation(round: &Round<'_>, var: VarId) -> Result<f64> {
     let network = round.compiled.model().network();
-    let var = round.compiled.model().var(variable)?;
+    let table = round.compiled.ancestry();
     let parents = network.parents(var);
     if parents.is_empty() {
         return Ok(0.0);
@@ -158,15 +253,14 @@ pub(crate) fn conditional_fault_expectation(round: &Round<'_>, variable: &str) -
         let state = match round.evidence.state_of(p) {
             Some(s) => s,
             None => {
-                let (name, posterior) = &round.posteriors[round.compiled.spec_index(p)];
-                let is_latent = round.compiled.latent_vars().iter().any(|&(_, l)| l == p);
-                let faults = model.fault_states(name);
+                let posterior = &round.posteriors[round.compiled.spec_index(p)].1;
+                let facts = &table.vars[p.index()];
                 // Most probable state, or most probable non-fault state
                 // for a latent parent.
                 posterior
                     .iter()
                     .enumerate()
-                    .filter(|(i, _)| !(is_latent && faults.contains(i)))
+                    .filter(|(i, _)| !(facts.latent && facts.faults.contains(i)))
                     .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
                     .map_or(0, |(i, _)| i)
             }
@@ -174,60 +268,89 @@ pub(crate) fn conditional_fault_expectation(round: &Round<'_>, variable: &str) -
         parent_states.push(state);
     }
     let row = network.cpt_row(var, &parent_states).map_err(Error::Bbn)?;
-    Ok(model
-        .fault_states(variable)
+    Ok(table.vars[var.index()]
+        .faults
         .iter()
         .filter_map(|&s| row.get(s))
         .sum())
 }
 
-/// Probability that at least one latent ancestor of `variable` is in a
-/// fault state, given the round's evidence — exactly, as
+/// Probability that at least one latent ancestor of `var` is in a fault
+/// state, given the round's evidence — exactly, as
 /// `1 − P(e, every latent ancestor healthy) / P(e)`. The numerator is one
-/// propagation through `ws` with a 0/1 healthy-states likelihood on each
-/// unobserved latent ancestor; an ancestor observed healthy is skipped.
-/// An ancestor observed faulty, an ancestor with no healthy state, or a
-/// numerator of zero probability all give exactly 1.
+/// collect-only [`abbd_bbn::JunctionTree::log_likelihood_in`] query
+/// through `ws` with the precomputed 0/1 healthy mask on each unobserved
+/// latent ancestor; an ancestor observed healthy is skipped, and so is
+/// one whose soft finding already gives its fault states no weight. An
+/// ancestor observed faulty, an ancestor with no healthy state left, or
+/// a numerator of zero probability all give exactly 1.
+///
+/// The answer depends only on `var`'s ancestor set, so `memo` answers a
+/// repeated set without a query.
 ///
 /// # Errors
 ///
-/// Returns [`Error::UnknownVariable`] for an ancestor outside the network
-/// and propagates any propagation error other than impossible evidence.
-pub(crate) fn ancestor_fault_probability(
-    round: &Round<'_>,
+/// Propagates any inference error other than impossible evidence.
+pub(crate) fn ancestor_fault_probability<'a>(
+    round: &Round<'a>,
     ws: &mut PropagationWorkspace,
-    variable: &str,
+    memo: &mut Exoneration<'a>,
+    var: VarId,
 ) -> Result<f64> {
-    let model = round.compiled.model();
-    let mut query = round.evidence.clone();
-    for ancestor in model.circuit_model().latent_ancestors(variable) {
-        let id = model.var(&ancestor)?;
-        let faults = model.circuit_model().fault_states(&ancestor);
-        if let Some(state) = round.evidence.state_of(id) {
-            if faults.contains(&state) {
+    let table = round.compiled.ancestry();
+    let set = table.vars[var.index()].set;
+    if let Some(p) = memo.answers[set] {
+        return Ok(p);
+    }
+    let p = any_faulty(round, ws, &mut memo.masks, &table.sets[set])?;
+    memo.answers[set] = Some(p);
+    Ok(p)
+}
+
+/// The uncached body of [`ancestor_fault_probability`] over one ancestor
+/// set, collecting the masks it applies in `masks`.
+fn any_faulty<'a>(
+    round: &Round<'a>,
+    ws: &mut PropagationWorkspace,
+    masks: &mut Vec<(VarId, &'a [f64])>,
+    ancestors: &[VarId],
+) -> Result<f64> {
+    let table = round.compiled.ancestry();
+    masks.clear();
+    for &ancestor in ancestors {
+        let facts = &table.vars[ancestor.index()];
+        if let Some(state) = round.evidence.state_of(ancestor) {
+            if facts.faults.contains(&state) {
                 return Ok(1.0);
             }
             continue;
         }
-        let mut healthy: Vec<f64> = (0..model.network().card(id))
-            .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
-            .collect();
-        if let Some(likelihood) = round.evidence.likelihood_of(id) {
-            for (h, w) in healthy.iter_mut().zip(likelihood) {
-                *h *= w;
-            }
-        }
-        if healthy.iter().all(|&h| h == 0.0) {
+        let likelihood = round.evidence.likelihood_of(ancestor);
+        let weight = |s: usize| likelihood.map_or(1.0, |l| l[s]);
+        if facts
+            .healthy
+            .iter()
+            .enumerate()
+            .all(|(s, &h)| h * weight(s) == 0.0)
+        {
             return Ok(1.0);
         }
-        query.observe_likelihood(id, healthy);
+        if likelihood.is_some() && facts.faults.iter().all(|&s| weight(s) == 0.0) {
+            // The mask would zero nothing the finding has not zeroed.
+            continue;
+        }
+        masks.push((ancestor, &facts.healthy));
     }
-    if query == *round.evidence {
+    if masks.is_empty() {
         // Every latent ancestor is already known healthy.
         return Ok(0.0);
     }
-    match round.compiled.jt().propagate_in(ws, &query) {
-        Ok(view) => Ok((-(view.log_likelihood() - round.log_evidence).exp_m1()).clamp(0.0, 1.0)),
+    match round
+        .compiled
+        .jt()
+        .log_likelihood_in(ws, round.evidence, masks)
+    {
+        Ok(log_healthy) => Ok((-(log_healthy - round.log_evidence).exp_m1()).clamp(0.0, 1.0)),
         Err(abbd_bbn::Error::ImpossibleEvidence) => Ok(1.0),
         Err(e) => Err(Error::Bbn(e)),
     }
@@ -241,8 +364,8 @@ pub(crate) fn ancestor_fault_probability(
 /// * `failing_observables` lists observable variables whose source
 ///   measurement failed its ATE limits — candidates of last resort.
 ///
-/// The exoneration queries propagate through `ws`, which is left holding
-/// the last of them.
+/// The exoneration queries collect through `ws`, which is left
+/// uncalibrated when any query runs.
 ///
 /// # Errors
 ///
@@ -277,14 +400,15 @@ pub(crate) fn deduce_candidates(
     }
 
     // Walk upwards through non-healthy latent ancestors.
-    let model = round.compiled.model().circuit_model();
+    let model = round.compiled.model();
+    let table = round.compiled.ancestry();
     let mut suspects: Vec<&str> = Vec::new();
     let mut stack: Vec<&str> = seeds.clone();
     while let Some(v) = stack.pop() {
         if !suspects.contains(&v) {
             suspects.push(v);
-            for anc in model.latent_ancestors(v) {
-                if let Some((key, _)) = fault_mass.get_key_value(&anc) {
+            for &anc in table.ancestors(model.var(v)?) {
+                if let Some((key, _)) = fault_mass.get_key_value(model.network().name(anc)) {
                     if class_of(key) != HealthClass::Healthy && !suspects.contains(&key.as_str()) {
                         stack.push(key.as_str());
                     }
@@ -295,9 +419,11 @@ pub(crate) fn deduce_candidates(
 
     // Exonerate suspects explained by their ancestry or by the test
     // conditions themselves.
+    let mut memo = Exoneration::new(table);
     let mut survives = |v: &str| -> Result<Option<(f64, f64)>> {
-        let p_anc = ancestor_fault_probability(round, ws, v)?;
-        let p_cond = conditional_fault_expectation(round, v)?;
+        let var = model.var(v)?;
+        let p_anc = ancestor_fault_probability(round, ws, &mut memo, var)?;
+        let p_cond = conditional_fault_expectation(round, var)?;
         let kept = p_anc < policy.faulty_threshold && p_cond < policy.faulty_threshold;
         Ok(kept.then_some((p_anc, p_cond)))
     };
@@ -344,7 +470,7 @@ mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
     use crate::model::CircuitModel;
-    use abbd_bbn::{VarId, VariableElimination};
+    use abbd_bbn::VariableElimination;
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 
     /// A miniature of the regulator's latent chain:
@@ -523,6 +649,111 @@ mod tests {
         (p_anc, p_cond)
     }
 
+    /// The full-propagation exoneration query the collect-only kernel
+    /// replaced, kept as its bitwise oracle: fold a 0/1 healthy-states
+    /// likelihood into the evidence for every unobserved latent ancestor,
+    /// run a whole Hugin propagation, and compare its `ln P` with the
+    /// round's.
+    fn propagated_ancestor_fault_probability(
+        round: &Round<'_>,
+        ws: &mut PropagationWorkspace,
+        variable: &str,
+    ) -> f64 {
+        let model = round.compiled.model();
+        let mut query = round.evidence.clone();
+        for ancestor in model.circuit_model().latent_ancestors(variable) {
+            let id = model.var(&ancestor).unwrap();
+            let faults = model.circuit_model().fault_states(&ancestor);
+            if let Some(state) = round.evidence.state_of(id) {
+                if faults.contains(&state) {
+                    return 1.0;
+                }
+                continue;
+            }
+            let mut healthy: Vec<f64> = (0..model.network().card(id))
+                .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
+                .collect();
+            if let Some(likelihood) = round.evidence.likelihood_of(id) {
+                for (h, w) in healthy.iter_mut().zip(likelihood) {
+                    *h *= w;
+                }
+            }
+            if healthy.iter().all(|&h| h == 0.0) {
+                return 1.0;
+            }
+            query.observe_likelihood(id, healthy);
+        }
+        if query == *round.evidence {
+            return 0.0;
+        }
+        match round.compiled.jt().propagate_in(ws, &query) {
+            Ok(view) => (-(view.log_likelihood() - round.log_evidence).exp_m1()).clamp(0.0, 1.0),
+            Err(abbd_bbn::Error::ImpossibleEvidence) => 1.0,
+            Err(e) => panic!("oracle propagation failed: {e}"),
+        }
+    }
+
+    /// The evidence cases both exoneration oracles run: every
+    /// unobserved / passing / failing assignment of the three observables,
+    /// plus the edge cases of the query. Returns the cases and the three
+    /// models they use (`base`, `all_fault`, `deterministic`).
+    fn oracle_cases() -> (Vec<(usize, Evidence)>, [CompiledModel; 3]) {
+        let m = model();
+        let base = compiled(&m, expert());
+        let mut inputs: Vec<(usize, Evidence)> = Vec::new();
+        for code in 0..27 {
+            let pairs: Vec<(&str, usize)> = ["obs_a", "obs_b", "obs_c"]
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &name)| match code / 3usize.pow(i as u32) % 3 {
+                    0 => None,
+                    s => Some((name, s - 1)),
+                })
+                .collect();
+            inputs.push((0, evidence_for(&base, &pairs)));
+        }
+        // An ancestor observed healthy is skipped; one observed faulty
+        // settles the disjunction at 1.
+        inputs.push((0, evidence_for(&base, &[("root", 1), ("obs_a", 0)])));
+        inputs.push((0, evidence_for(&base, &[("root", 0), ("obs_a", 0)])));
+        // A soft finding on an ancestor is kept under the healthy mask.
+        let mut soft = evidence_for(&base, &[("obs_a", 0), ("obs_b", 0)]);
+        soft.observe_likelihood(base.model().var("mid").unwrap(), vec![0.3, 0.7]);
+        inputs.push((0, soft));
+        // A soft finding that already gives an ancestor's fault state no
+        // weight, and one that leaves it no healthy weight.
+        let mut healthy_soft = evidence_for(&base, &[("obs_a", 0)]);
+        healthy_soft.observe_likelihood(base.model().var("mid").unwrap(), vec![0.0, 0.7]);
+        inputs.push((0, healthy_soft));
+        let mut healthy_root = evidence_for(&base, &[("obs_c", 0)]);
+        healthy_root.observe_likelihood(base.model().var("root").unwrap(), vec![0.0, 0.7]);
+        inputs.push((0, healthy_root));
+        let mut faulty_soft = evidence_for(&base, &[("obs_a", 0)]);
+        faulty_soft.observe_likelihood(base.model().var("root").unwrap(), vec![0.4, 0.0]);
+        inputs.push((0, faulty_soft));
+        // An ancestor with no healthy state.
+        let mut all_fault = model();
+        all_fault.set_fault_states("root", &[0, 1]).unwrap();
+        let all_fault = compiled(&all_fault, expert());
+        inputs.push((1, evidence_for(&all_fault, &[("obs_a", 0)])));
+        // A failing obs_c that a healthy root cannot produce: holding the
+        // ancestors healthy is impossible evidence.
+        let mut e = expert();
+        e.cpt("obs_c", [[1.0, 0.0], [0.0, 1.0]]);
+        let deterministic = compiled(&m, e);
+        inputs.push((2, evidence_for(&deterministic, &[("obs_c", 0)])));
+        (inputs, [base, all_fault, deterministic])
+    }
+
+    fn var_names() -> Vec<String> {
+        model()
+            .spec()
+            .variables()
+            .iter()
+            .map(|v| v.name.clone())
+            .collect()
+    }
+
     #[test]
     fn policy_validation() {
         assert!(DeductionPolicy::default().validate().is_ok());
@@ -667,58 +898,19 @@ mod tests {
 
     #[test]
     fn tree_disjunction_matches_the_ve_oracle() {
-        let m = model();
-        let base = compiled(&m, expert());
-        // Every unobserved / passing (1) / failing (0) assignment of the
-        // three observables.
-        let mut inputs: Vec<(&CompiledModel, Evidence)> = Vec::new();
-        for code in 0..27 {
-            let pairs: Vec<(&str, usize)> = ["obs_a", "obs_b", "obs_c"]
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &name)| match code / 3usize.pow(i as u32) % 3 {
-                    0 => None,
-                    s => Some((name, s - 1)),
-                })
-                .collect();
-            inputs.push((&base, evidence_for(&base, &pairs)));
-        }
-        // An ancestor observed healthy is skipped; one observed faulty
-        // settles the disjunction at 1.
-        inputs.push((&base, evidence_for(&base, &[("root", 1), ("obs_a", 0)])));
-        inputs.push((&base, evidence_for(&base, &[("root", 0), ("obs_a", 0)])));
-        // A soft finding on an ancestor is kept under the healthy mask.
-        let mut soft = evidence_for(&base, &[("obs_a", 0), ("obs_b", 0)]);
-        soft.observe_likelihood(base.model().var("mid").unwrap(), vec![0.3, 0.7]);
-        inputs.push((&base, soft));
-        // An ancestor with no healthy state.
-        let mut all_fault = model();
-        all_fault.set_fault_states("root", &[0, 1]).unwrap();
-        let all_fault = compiled(&all_fault, expert());
-        inputs.push((&all_fault, evidence_for(&all_fault, &[("obs_a", 0)])));
-        // A failing obs_c that a healthy root cannot produce: holding the
-        // ancestors healthy is impossible evidence.
-        let mut e = expert();
-        e.cpt("obs_c", [[1.0, 0.0], [0.0, 1.0]]);
-        let deterministic = compiled(&m, e);
-        inputs.push((
-            &deterministic,
-            evidence_for(&deterministic, &[("obs_c", 0)]),
-        ));
-
-        let names: Vec<&str> = m
-            .spec()
-            .variables()
-            .iter()
-            .map(|v| v.name.as_str())
-            .collect();
+        let (inputs, models) = oracle_cases();
+        let [base, all_fault, deterministic] = &models;
+        let names = var_names();
         let mut queries = 0;
-        for (c, ev) in &inputs {
+        for (m, ev) in &inputs {
+            let c = &models[*m];
             with_round(c, ev, |round, ws| {
-                for &name in &names {
+                let mut memo = Exoneration::new(c.ancestry());
+                for name in &names {
+                    let var = c.model().var(name).unwrap();
                     let tree = (
-                        ancestor_fault_probability(round, ws, name).unwrap(),
-                        conditional_fault_expectation(round, name).unwrap(),
+                        ancestor_fault_probability(round, ws, &mut memo, var).unwrap(),
+                        conditional_fault_expectation(round, var).unwrap(),
                     );
                     let want = oracle(c, ev, name);
                     assert!(
@@ -732,23 +924,55 @@ mod tests {
         assert_eq!(queries, inputs.len() * names.len());
 
         // The three edge cases give exactly 1 with no error.
-        for (c, pairs, name) in [
-            (&base, [("root", 0), ("obs_a", 0)].as_slice(), "leaf_a"),
-            (&all_fault, [("obs_a", 0)].as_slice(), "leaf_a"),
-            (&deterministic, [("obs_c", 0)].as_slice(), "obs_c"),
+        let leaf_a = |c: &CompiledModel| c.model().var("leaf_a").unwrap();
+        for (c, pairs, var) in [
+            (base, [("root", 0), ("obs_a", 0)].as_slice(), leaf_a(base)),
+            (all_fault, [("obs_a", 0)].as_slice(), leaf_a(all_fault)),
+            (
+                deterministic,
+                [("obs_c", 0)].as_slice(),
+                deterministic.model().var("obs_c").unwrap(),
+            ),
         ] {
             let ev = evidence_for(c, pairs);
             let p = with_round(c, &ev, |round, ws| {
-                ancestor_fault_probability(round, ws, name)
+                ancestor_fault_probability(round, ws, &mut Exoneration::new(c.ancestry()), var)
             });
-            assert_eq!(p.unwrap(), 1.0, "{name} under {pairs:?}");
+            assert_eq!(p.unwrap(), 1.0, "{var} under {pairs:?}");
         }
 
         // No latent ancestors -> zero.
-        let ev = evidence_for(&base, &[("obs_a", 0), ("obs_b", 0)]);
-        let root = with_round(&base, &ev, |round, ws| {
-            ancestor_fault_probability(round, ws, "root").unwrap()
+        let ev = evidence_for(base, &[("obs_a", 0), ("obs_b", 0)]);
+        let root = base.model().var("root").unwrap();
+        let p = with_round(base, &ev, |round, ws| {
+            ancestor_fault_probability(round, ws, &mut Exoneration::new(base.ancestry()), root)
+                .unwrap()
         });
-        assert_eq!(root, 0.0);
+        assert_eq!(p.to_bits(), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn collect_only_exoneration_is_bitwise_the_full_propagation() {
+        let (inputs, models) = oracle_cases();
+        let names = var_names();
+        for (m, ev) in &inputs {
+            let c = &models[*m];
+            with_round(c, ev, |round, ws| {
+                let mut memo = Exoneration::new(c.ancestry());
+                let mut oracle_ws = c.make_workspace();
+                // Twice over the names: the second pass answers from the
+                // memo and must not drift either.
+                for name in names.iter().chain(&names) {
+                    let var = c.model().var(name).unwrap();
+                    let got = ancestor_fault_probability(round, ws, &mut memo, var).unwrap();
+                    let want = propagated_ancestor_fault_probability(round, &mut oracle_ws, name);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{name} under {ev:?}: collect-only {got} vs full propagation {want}"
+                    );
+                }
+            });
+        }
     }
 }

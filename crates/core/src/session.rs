@@ -54,7 +54,9 @@
 //! ```
 
 use crate::builder::DiagnosticModel;
-use crate::deduce::{deduce_candidates, Candidate, DeductionPolicy, HealthClass, Round};
+use crate::deduce::{
+    deduce_candidates, AncestryTable, Candidate, DeductionPolicy, HealthClass, Round,
+};
 use crate::engine::{Diagnosis, Observation};
 use crate::error::{Error, Result};
 use crate::planner::{CostModel, LookaheadPlanner, Strategy};
@@ -548,6 +550,9 @@ pub struct CompiledModel {
     /// The spec position of every network variable, indexed by
     /// [`VarId::index`]: where a diagnosis keeps that variable's posterior.
     spec_index: Vec<usize>,
+    /// Deduction's per-variable fault states, healthy masks and interned
+    /// latent-ancestor sets.
+    ancestry: AncestryTable,
 }
 
 impl CompiledModel {
@@ -577,6 +582,7 @@ impl CompiledModel {
         for (i, v) in model.circuit_model().spec().variables().iter().enumerate() {
             spec_index[model.var(&v.name)?.index()] = i;
         }
+        let ancestry = AncestryTable::new(&model)?;
         Ok(CompiledModel {
             model,
             jt,
@@ -584,6 +590,7 @@ impl CompiledModel {
             latents,
             observables,
             spec_index,
+            ancestry,
         })
     }
 
@@ -638,6 +645,11 @@ impl CompiledModel {
     /// [`Diagnosis::posteriors`].
     pub(crate) fn spec_index(&self, var: VarId) -> usize {
         self.spec_index[var.index()]
+    }
+
+    /// Deduction's precomputed per-variable table.
+    pub(crate) fn ancestry(&self) -> &AncestryTable {
+        &self.ancestry
     }
 
     /// The latent block names, in spec order (the valid probe targets).
@@ -714,9 +726,8 @@ impl CompiledModel {
     /// carrying a per-session override go through
     /// [`CompiledModel::diagnose_with_policy_in`] instead.
     ///
-    /// Deduction's ancestor queries reuse `ws`, which is left holding the
-    /// last of them: re-propagate before reading it (as
-    /// [`DiagnosisSession::rank_actions`] does).
+    /// Deduction's collect-only ancestor queries reuse `ws`, which is
+    /// left uncalibrated: re-propagate before reading it.
     ///
     /// # Errors
     ///
@@ -739,8 +750,7 @@ impl CompiledModel {
     /// walk); the posterior update is identical, so overriding it never
     /// recompiles or re-propagates anything extra.
     ///
-    /// Leaves `ws` holding deduction's last query, as
-    /// [`CompiledModel::diagnose_in`] does.
+    /// Leaves `ws` uncalibrated, as [`CompiledModel::diagnose_in`] does.
     ///
     /// # Errors
     ///
@@ -748,6 +758,21 @@ impl CompiledModel {
     pub fn diagnose_with_policy_in(
         &self,
         ws: &mut PropagationWorkspace,
+        observation: &Observation,
+        evidence: &Evidence,
+        policy: &DeductionPolicy,
+    ) -> Result<Diagnosis> {
+        self.diagnose_kernel(ws, None, observation, evidence, policy)
+    }
+
+    /// The diagnosis kernel behind [`CompiledModel::diagnose_with_policy_in`]:
+    /// calibrates `ws` on `evidence`, then runs deduction's queries in
+    /// `query_ws` when given (leaving `ws` calibrated for the caller to
+    /// read) or in `ws` itself.
+    pub(crate) fn diagnose_kernel(
+        &self,
+        ws: &mut PropagationWorkspace,
+        query_ws: Option<&mut PropagationWorkspace>,
         observation: &Observation,
         evidence: &Evidence,
         policy: &DeductionPolicy,
@@ -788,7 +813,9 @@ impl CompiledModel {
             posteriors: &posteriors,
             log_evidence,
         };
-        let candidates = deduce_candidates(&round, ws, &fault_mass, &classes, &failing, policy)?;
+        let query_ws = query_ws.unwrap_or(ws);
+        let candidates =
+            deduce_candidates(&round, query_ws, &fault_mass, &classes, &failing, policy)?;
 
         Ok(Diagnosis::from_parts(
             observation.clone(),
@@ -948,7 +975,13 @@ pub struct DiagnosisSession {
     policy: StoppingPolicy,
     /// Workspace for current-belief propagations (base pass + diagnosis).
     base_ws: PropagationWorkspace,
-    /// Workspace + distribution buffer for hypothetical VOI queries.
+    /// `true` while `base_ws` still holds the calibration on `evidence`
+    /// that the last [`DiagnosisSession::diagnose`] left, so ranking can
+    /// read it instead of propagating again. Every evidence change clears
+    /// it.
+    base_calibrated: bool,
+    /// Workspace + distribution buffer for hypothetical VOI queries and
+    /// deduction's exoneration queries.
     scratch: VoiScratch,
     /// Accumulated evidence, kept in lockstep with `observation`.
     evidence: Evidence,
@@ -1009,6 +1042,7 @@ impl DiagnosisSession {
         let latent_capacity = latents.len();
         Ok(DiagnosisSession {
             base_ws: compiled.make_workspace(),
+            base_calibrated: false,
             scratch: VoiScratch::new(&compiled),
             evidence: Evidence::new(),
             observation: Observation::new(),
@@ -1280,6 +1314,7 @@ impl DiagnosisSession {
             });
         }
         self.evidence.observe(var, state);
+        self.base_calibrated = false;
         self.observation.set(variable, state);
         if let Some(pos) = self.candidates.iter().position(|c| c.var == var) {
             self.candidates.swap_remove(pos);
@@ -1309,21 +1344,27 @@ impl DiagnosisSession {
     }
 
     /// The diagnosis over everything observed so far (posterior update
-    /// plus the §IV-B candidate deduction), through the reused workspace
+    /// plus the §IV-B candidate deduction), through the reused workspaces
     /// and the evidence set this session keeps in lockstep with its
-    /// observation (no per-call evidence rebuild).
+    /// observation (no per-call evidence rebuild). Deduction's queries
+    /// run in the VOI scratch workspace, so the base calibration survives
+    /// for the next [`DiagnosisSession::rank_actions`].
     ///
     /// # Errors
     ///
     /// Same as [`CompiledModel::diagnose`].
     pub fn diagnose(&mut self) -> Result<Diagnosis> {
         let policy = self.deduction.unwrap_or(*self.compiled.policy());
-        self.compiled.diagnose_with_policy_in(
+        self.base_calibrated = false;
+        let diagnosis = self.compiled.diagnose_kernel(
             &mut self.base_ws,
+            Some(&mut self.scratch.ws),
             &self.observation,
             &self.evidence,
             &policy,
-        )
+        )?;
+        self.base_calibrated = true;
+        Ok(diagnosis)
     }
 
     /// Scores every unapplied candidate action under the active
@@ -1344,7 +1385,9 @@ impl DiagnosisSession {
     /// `card` hypothetical propagations per candidate (times the outcome
     /// tree for lookahead), all through the compiled tree and the reused
     /// workspaces — **zero junction-tree compilations, zero heap
-    /// allocations** once the session is warm.
+    /// allocations** once the session is warm. Right after
+    /// [`DiagnosisSession::diagnose`] on unchanged evidence the base
+    /// propagation is skipped: the diagnosis left it calibrated.
     ///
     /// # Errors
     ///
@@ -1353,6 +1396,7 @@ impl DiagnosisSession {
         let Self {
             compiled,
             base_ws,
+            base_calibrated,
             scratch,
             evidence,
             latents,
@@ -1371,7 +1415,12 @@ impl DiagnosisSession {
         let net = compiled.model().network();
         match *strategy {
             Strategy::Myopic | Strategy::CostWeighted => {
-                let view = jt.propagate_in(base_ws, evidence).map_err(Error::Bbn)?;
+                let view = if *base_calibrated {
+                    jt.view_in(base_ws)
+                } else {
+                    jt.propagate_in(base_ws, evidence)
+                }
+                .map_err(Error::Bbn)?;
                 latent_entropy.clear();
                 for &v in latents.iter() {
                     latent_entropy.push(view.posterior_entropy(v).map_err(Error::Bbn)?);
@@ -1545,6 +1594,7 @@ impl DiagnosisSession {
         let result = self.absorb_request(request).and_then(|()| self.report());
         if result.is_err() {
             self.evidence = evidence;
+            self.base_calibrated = false;
             self.observation = observation;
             self.candidates = candidates;
             self.policy = policy;
@@ -2380,5 +2430,92 @@ mod tests {
         done.mark_failing("out2");
         let verdict = compiled.serve(&SessionRequest::new(done)).unwrap();
         assert_eq!(verdict.stop, Some(StopReason::Isolated));
+    }
+
+    /// Every candidate's gain by name, as bits.
+    fn gain_bits(ranked: &[ScoredAction]) -> Vec<(String, u64)> {
+        let mut out: Vec<(String, u64)> = ranked
+            .iter()
+            .map(|c| {
+                (
+                    c.name().to_string(),
+                    c.expected_information_gain().to_bits(),
+                )
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// Ranking straight after a diagnosis reads the base calibration the
+    /// diagnosis left; every evidence change (observe, apply, an absorbed
+    /// round, a rolled-back round) must force a fresh one. Each ranking
+    /// must match a fresh session on the same evidence bit for bit.
+    #[test]
+    fn ranking_reuses_the_diagnosis_calibration_only_on_unchanged_evidence() {
+        let compiled = toy_compiled_model();
+        let fresh = |observation: &Observation| {
+            let mut f =
+                DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::exhaustive()).unwrap();
+            f.observe_all(observation).unwrap();
+            gain_bits(f.rank_actions().unwrap())
+        };
+        let mut s =
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::exhaustive()).unwrap();
+        let mut checked = 0;
+        let mut check = |s: &mut DiagnosisSession| {
+            let got = gain_bits(s.rank_actions().unwrap());
+            assert!(!got.is_empty());
+            assert_eq!(got, fresh(s.observation()), "after {checked} checks");
+            checked += 1;
+        };
+
+        s.observe("pin", 1).unwrap();
+        s.diagnose().unwrap();
+        check(&mut s);
+        // A second ranking on the same evidence reuses it again.
+        check(&mut s);
+
+        // The stepping loop: next_action diagnoses and ranks, apply
+        // changes the evidence.
+        let next = s.next_action().unwrap().expect("a recommendation");
+        check(&mut s);
+        s.apply(&next.action, Outcome::failing(0)).unwrap();
+        check(&mut s);
+
+        // Diagnose, then observe behind its back.
+        s.diagnose().unwrap();
+        let left: Vec<String> = s.actions().iter().map(|c| c.name().to_string()).collect();
+        s.observe(&left[0], 1).unwrap();
+        check(&mut s);
+
+        // A failed round rolls back after the report phase ran its
+        // diagnosis on the round's evidence.
+        s.diagnose().unwrap();
+        let mut contradiction = Observation::new();
+        contradiction.set("pin", 0);
+        let mut delta = SessionRequest::new(contradiction);
+        delta.delta = true;
+        assert!(s.serve_round(&delta).is_err());
+        check(&mut s);
+        let mut unknown = Observation::new();
+        unknown.set("no_such_block", 0);
+        s.diagnose().unwrap();
+        assert!(s.serve_round(&SessionRequest::new(unknown)).is_err());
+        check(&mut s);
+
+        // A whole served round on the same session.
+        let mut more = Observation::new();
+        more.set("pin", 1);
+        let report = s.serve_round(&SessionRequest::new(more)).unwrap();
+        let mut reported: Vec<(String, u64)> = report
+            .ranked
+            .iter()
+            .map(|r| (r.action.target().to_string(), r.gain.to_bits()))
+            .collect();
+        reported.sort();
+        assert_eq!(reported, fresh(s.observation()));
+        check(&mut s);
+        assert_eq!(checked, 8);
     }
 }

@@ -4,10 +4,11 @@
 
 use abbd::ate::{parse_datalog, write_datalog};
 use abbd::baselines::{accuracy_at_k, group_by_device, FaultDictionary, RandomGuess};
-use abbd::bbn::{VarId, VariableElimination};
-use abbd::core::{CompiledModel, DeductionPolicy, LearnAlgorithm, Observation};
+use abbd::bbn::{Evidence, JunctionTree, PropagationWorkspace, VarId, VariableElimination};
+use abbd::core::{CompiledModel, DeductionPolicy, LearnAlgorithm, ModelBuilder, Observation};
 use abbd::designs::{board, hypothetical, regulator};
 use abbd::dlog2bbn::generate_cases;
+use abbd::scenarios::sample_model_population;
 
 /// The headline reproduction: after the full §IV flow (70 simulated
 /// customer returns), the diagnostic engine reproduces the paper's
@@ -445,4 +446,140 @@ fn deduction_matches_the_variable_elimination_oracle() {
         compared >= 2 * observations.len(),
         "{compared} values compared"
     );
+}
+
+/// The full-propagation exoneration query deduction answered with before
+/// its collect-only kernel (the `abbd-core` unit tests keep the same
+/// oracle): fold a 0/1 healthy-states likelihood into the evidence for
+/// every unobserved latent ancestor, run a whole propagation, and compare
+/// its `ln P` with the round's `log_evidence`.
+fn propagated_ancestor_fault_probability(
+    compiled: &CompiledModel,
+    jt: &JunctionTree,
+    ws: &mut PropagationWorkspace,
+    evidence: &Evidence,
+    log_evidence: f64,
+    variable: &str,
+) -> f64 {
+    let model = compiled.model();
+    let mut query = evidence.clone();
+    for ancestor in model.circuit_model().latent_ancestors(variable) {
+        let id = model.var(&ancestor).unwrap();
+        let faults = model.circuit_model().fault_states(&ancestor);
+        if let Some(state) = evidence.state_of(id) {
+            if faults.contains(&state) {
+                return 1.0;
+            }
+            continue;
+        }
+        let mut healthy: Vec<f64> = (0..model.network().card(id))
+            .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
+            .collect();
+        if let Some(likelihood) = evidence.likelihood_of(id) {
+            for (h, w) in healthy.iter_mut().zip(likelihood) {
+                *h *= w;
+            }
+        }
+        if healthy.iter().all(|&h| h == 0.0) {
+            return 1.0;
+        }
+        query.observe_likelihood(id, healthy);
+    }
+    if query == *evidence {
+        return 0.0;
+    }
+    match jt.propagate_in(ws, &query) {
+        Ok(view) => (-(view.log_likelihood() - log_evidence).exp_m1()).clamp(0.0, 1.0),
+        Err(abbd::bbn::Error::ImpossibleEvidence) => 1.0,
+        Err(e) => panic!("oracle propagation failed: {e}"),
+    }
+}
+
+/// Deduction's collect-only, memoised exoneration query reports exactly
+/// the bits the full-propagation query did, on the fitted regulator over
+/// case studies d1–d5 and 256 sampled fleet rows (seed 1, the d1
+/// stimulus). The permissive policy with every observed observable marked
+/// failing surfaces each suspect's and self-candidate's value.
+#[test]
+fn exoneration_is_bitwise_the_full_propagation_query() {
+    let fitted = regulator::fit(70, 2010, regulator::default_algorithm()).expect("pipeline runs");
+    let compiled = fitted.engine.compiled();
+    let cases = regulator::cases::case_studies();
+    let mut observations: Vec<Observation> = cases.iter().map(|c| c.observation()).collect();
+    let rig = regulator::rig();
+    let expert_model = ModelBuilder::new(rig.model)
+        .with_expert(rig.expert)
+        .build_expert_only()
+        .expect("expert-only model builds");
+    let controls: Vec<(String, usize)> = cases[0]
+        .controls
+        .iter()
+        .map(|&(name, state)| (name.to_string(), state))
+        .collect();
+    let fleet = sample_model_population(
+        &expert_model,
+        &regulator::faults::fault_library(),
+        &controls,
+        256,
+        1,
+    )
+    .expect("fleet samples");
+    observations.extend(
+        fleet
+            .iter()
+            .map(|s| s.observation(expert_model.circuit_model())),
+    );
+
+    let permissive = DeductionPolicy {
+        faulty_threshold: 1.0,
+        healthy_threshold: 0.0,
+        seed_with_best_ambiguous: true,
+    };
+    let observables: Vec<&str> = compiled.observable_names().collect();
+    let jt = JunctionTree::compile(compiled.model().network()).expect("tree compiles");
+    let mut ws = compiled.make_workspace();
+    let mut oracle_ws = jt.make_workspace();
+    let mut compared = 0;
+    for observation in &observations {
+        let mut all_failing = observation.clone();
+        for (name, _) in observation.iter() {
+            if observables.contains(&name) {
+                all_failing.mark_failing(name);
+            }
+        }
+        let evidence = compiled.evidence_from(observation).expect("evidence");
+        let Ok(base) = jt.propagate_in(&mut oracle_ws, &evidence) else {
+            continue;
+        };
+        let log_evidence = base.log_likelihood();
+        for (obs, policy) in [
+            (observation, compiled.policy()),
+            (&all_failing, &permissive),
+        ] {
+            let diagnosis = compiled
+                .diagnose_with_policy_in(&mut ws, obs, &evidence, policy)
+                .expect("diagnosis");
+            assert_eq!(diagnosis.log_likelihood().to_bits(), log_evidence.to_bits());
+            for c in diagnosis.candidates() {
+                let want = propagated_ancestor_fault_probability(
+                    compiled,
+                    &jt,
+                    &mut oracle_ws,
+                    &evidence,
+                    log_evidence,
+                    &c.variable,
+                );
+                assert_eq!(
+                    c.ancestor_fault_probability.to_bits(),
+                    want.to_bits(),
+                    "{}: collect-only {} vs full propagation {want}",
+                    c.variable,
+                    c.ancestor_fault_probability
+                );
+                compared += 1;
+            }
+        }
+    }
+    println!("{compared} exoneration values compared bitwise");
+    assert!(compared >= observations.len(), "{compared} values compared");
 }

@@ -3,7 +3,8 @@
 //! decisions through `DiagnosisSession::rank_actions` must perform
 //! **zero junction-tree compilations and zero heap allocations** — both
 //! the myopic kernel and the depth-2 expectimax planner, including a
-//! *mixed* test-plus-probe candidate set.
+//! *mixed* test-plus-probe candidate set — and so must deduction's
+//! collect-only exoneration query.
 //!
 //! A counting global allocator wraps the system allocator and tallies
 //! `alloc`/`realloc` calls per thread; the compile counter lives in
@@ -97,6 +98,57 @@ fn steady_state_scoring_compiles_nothing_and_allocates_nothing() {
     assert_eq!(
         allocs, 0,
         "steady-state VOI scoring must not touch the heap ({allocs} allocation events in 16 decisions)"
+    );
+
+    // Deduction's exoneration query: one collect-only likelihood with a
+    // 0/1 healthy mask on each latent ancestor, built before the window
+    // from the model's fault states exactly as `CompiledModel::compile`
+    // precomputes them.
+    let model = compiled.model();
+    let circuit = model.circuit_model();
+    let exoneration_tree = abbd::bbn::JunctionTree::compile(model.network()).unwrap();
+    let mut exoneration_ws = exoneration_tree.make_workspace();
+    let evidence = compiled.evidence_from(d.observation()).unwrap();
+    let healthy: Vec<(abbd::bbn::VarId, Vec<f64>)> = circuit
+        .latent_ancestors("out2")
+        .iter()
+        .map(|name| {
+            let var = model.var(name).unwrap();
+            let faults = circuit.fault_states(name);
+            let mask = (0..model.network().card(var))
+                .map(|s| if faults.contains(&s) { 0.0 } else { 1.0 })
+                .collect();
+            (var, mask)
+        })
+        .collect();
+    assert!(healthy.len() >= 2, "out2 has two latent ancestors");
+    let masks: Vec<(abbd::bbn::VarId, &[f64])> =
+        healthy.iter().map(|(v, m)| (*v, m.as_slice())).collect();
+    let warm = exoneration_tree
+        .log_likelihood_in(&mut exoneration_ws, &evidence, &masks)
+        .unwrap();
+
+    let compiles_before = jointree_compile_count();
+    let allocs_before = alloc_events();
+    let mut repeatable = true;
+    for _ in 0..16 {
+        let log_healthy = exoneration_tree
+            .log_likelihood_in(&mut exoneration_ws, &evidence, &masks)
+            .unwrap();
+        repeatable &= log_healthy.to_bits() == warm.to_bits();
+    }
+    let allocs = alloc_events() - allocs_before;
+    let compiles = jointree_compile_count() - compiles_before;
+
+    assert!(repeatable, "a repeated query answers the same bits");
+    assert!(warm.is_finite() && warm < 0.0);
+    assert_eq!(
+        compiles, 0,
+        "exoneration queries must reuse the compiled junction tree"
+    );
+    assert_eq!(
+        allocs, 0,
+        "exoneration queries must not touch the heap ({allocs} allocation events in 16 queries)"
     );
 
     // Depth-2 lookahead planning: the expectimax recursion stacks
