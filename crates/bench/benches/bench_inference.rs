@@ -502,15 +502,12 @@ fn bench_server_throughput(c: &mut Criterion) {
 }
 
 /// The serializer price list on a real `SessionReport` (the largest DTO
-/// that crosses the wire every round): for each codec, the streaming
-/// fast path — `write_json`/`write_binary` straight into a byte buffer,
-/// `read_from` straight off it — against the `Value`-tree fallback it
-/// replaced (build or parse the tree, then convert). The byte-identity
-/// proptests in `abbd-server/tests/codec.rs` pin that both paths emit
-/// the same bytes; this group prices the tree they no longer build.
+/// that crosses the wire every round): for each codec, encode with
+/// `write_json`/`write_binary` straight into a byte buffer and decode
+/// with `read_from` straight off it.
 fn bench_wire_serialization(c: &mut Criterion) {
     use abbd_server::{codec, SessionReport};
-    use serde::{Deserialize, Serialize};
+    use serde::Serialize;
 
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let compiled = Arc::clone(fitted.engine.compiled());
@@ -529,27 +526,11 @@ fn bench_wire_serialization(c: &mut Criterion) {
             black_box(buf.len())
         })
     });
-    group.bench_function("report_encode_json_value", |b| {
-        let mut buf = Vec::with_capacity(report_json.len());
-        b.iter(|| {
-            buf.clear();
-            serde::json::write_value(&black_box(&report).to_value(), &mut buf);
-            black_box(buf.len())
-        })
-    });
     group.bench_function("report_encode_binary_streaming", |b| {
         let mut buf = Vec::with_capacity(report_frame.len());
         b.iter(|| {
             buf.clear();
             codec::frame_into(black_box(&report), &mut buf);
-            black_box(buf.len())
-        })
-    });
-    group.bench_function("report_encode_binary_value", |b| {
-        let mut buf = Vec::with_capacity(report_frame.len());
-        b.iter(|| {
-            buf.clear();
-            codec::write_frame(&black_box(&report).to_value(), &mut buf);
             black_box(buf.len())
         })
     });
@@ -560,25 +541,10 @@ fn bench_wire_serialization(c: &mut Criterion) {
             black_box(report.ranked.len())
         })
     });
-    group.bench_function("report_decode_json_value", |b| {
-        b.iter(|| {
-            let tree = serde_json::parse_value_str(black_box(&report_json)).expect("parses");
-            let report = SessionReport::from_value(&tree).expect("decodes");
-            black_box(report.ranked.len())
-        })
-    });
     group.bench_function("report_decode_binary_streaming", |b| {
         b.iter(|| {
             let report: SessionReport =
                 codec::from_frame(black_box(&report_frame)).expect("decodes");
-            black_box(report.ranked.len())
-        })
-    });
-    group.bench_function("report_decode_binary_value", |b| {
-        b.iter(|| {
-            let mut pos = 0;
-            let tree = codec::read_frame(black_box(&report_frame), &mut pos).expect("parses");
-            let report = SessionReport::from_value(&tree).expect("decodes");
             black_box(report.ranked.len())
         })
     });

@@ -164,15 +164,6 @@ pub struct Ranked<A> {
 // The serde shim's derive rejects generics, so `Ranked<A>` carries
 // hand-written impls (the data model is four fields, nothing subtle).
 impl<A: Serialize> Serialize for Ranked<A> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Obj(vec![
-            ("action".to_string(), self.action.to_value()),
-            ("gain".to_string(), self.gain.to_value()),
-            ("cost".to_string(), self.cost.to_value()),
-            ("score".to_string(), self.score.to_value()),
-        ])
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(b"{\"action\":");
         self.action.write_json(out);
@@ -199,21 +190,6 @@ impl<A: Serialize> Serialize for Ranked<A> {
 }
 
 impl<A: Deserialize> Deserialize for Ranked<A> {
-    fn from_value(value: &serde::Value) -> std::result::Result<Self, serde::DeError> {
-        let entries = value
-            .as_obj()
-            .ok_or_else(|| serde::DeError::expected("object", "Ranked"))?;
-        let field = |name: &str| {
-            serde::obj_get(entries, name).ok_or_else(|| serde::DeError::missing(name, "Ranked"))
-        };
-        Ok(Ranked {
-            action: Deserialize::from_value(field("action")?)?,
-            gain: Deserialize::from_value(field("gain")?)?,
-            cost: Deserialize::from_value(field("cost")?)?,
-            score: Deserialize::from_value(field("score")?)?,
-        })
-    }
-
     fn read_from<'de, R: serde::Reader<'de>>(
         reader: &mut R,
     ) -> std::result::Result<Self, serde::DeError> {

@@ -14,11 +14,9 @@
 //! adds the frame header and the typed entry points. Encoding streams
 //! through [`serde::Serialize::write_binary`] ([`frame_into`] /
 //! [`to_frame`]) and decoding through [`serde::binary::BinReader`]
-//! ([`decode_frame`] / [`from_frame`]), so report/request DTOs hit the
-//! wire without materialising an intermediate [`serde::Value`] tree —
-//! the tree forms ([`write_frame`] / [`read_frame`]) remain for
-//! callers that really want a `Value`, and both paths emit and accept
-//! bit-identical bytes (pinned by `tests/codec.rs`).
+//! ([`decode_frame`] / [`from_frame`]). A caller that wants the dynamic
+//! tree decodes into `T = serde::Value`; `tests/codec.rs` pins that a
+//! typed frame read back as a `Value` re-encodes to the same bytes.
 //!
 //! ## Frame layout
 //!
@@ -47,7 +45,7 @@
 //! `400`.
 
 use serde::binary::BinReader;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Hard cap on value nesting (shared with the JSON reader), so
 /// adversarial frames cannot overflow the decoder's stack.
@@ -77,19 +75,8 @@ fn err<T>(message: impl Into<String>) -> Result<T, CodecError> {
     Err(CodecError(message.into()))
 }
 
-/// Appends the binary encoding of `value` (no frame header) to `out`.
-pub fn write_value(value: &Value, out: &mut Vec<u8>) {
-    serde::binary::write_value(value, out);
-}
-
-/// Appends one whole frame (header + encoded `value`) to `out`.
-pub fn write_frame(value: &Value, out: &mut Vec<u8>) {
-    frame_into(value, out);
-}
-
 /// Appends one whole frame (header + payload) to `out`, streaming the
-/// payload through [`Serialize::write_binary`] — no intermediate
-/// `Value` tree for types with streaming impls.
+/// payload through [`Serialize::write_binary`].
 pub fn frame_into<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
     out.extend_from_slice(&MAGIC);
     out.push(VERSION);
@@ -125,24 +112,14 @@ fn frame_header(buf: &[u8], pos: &mut usize) -> Result<usize, CodecError> {
     Ok(payload_end)
 }
 
-/// Reads one frame starting at `*pos`, advancing `*pos` past it.
+/// Reads one frame starting at `*pos` straight into a
+/// serde-deserialisable type, advancing `*pos` past it.
 ///
 /// # Errors
 ///
 /// Fails on a bad magic/version, a length prefix running past the end
-/// of `buf`, trailing payload garbage, or a malformed value encoding.
-pub fn read_frame(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
-    decode_frame(buf, pos)
-}
-
-/// Reads one frame starting at `*pos` straight into a
-/// serde-deserialisable type (no intermediate `Value` for types with
-/// streaming impls), advancing `*pos` past it.
-///
-/// # Errors
-///
-/// Fails like [`read_frame`], plus on shape mismatches from the target
-/// type's `Deserialize`.
+/// of `buf`, trailing payload garbage, a malformed value encoding, or a
+/// shape mismatch from the target type's `Deserialize`.
 pub fn decode_frame<T: Deserialize>(buf: &[u8], pos: &mut usize) -> Result<T, CodecError> {
     let payload_end = frame_header(buf, pos)?;
     let mut reader = BinReader::new(&buf[*pos..payload_end]);
@@ -181,12 +158,13 @@ pub fn from_frame<T: Deserialize>(bytes: &[u8]) -> Result<T, CodecError> {
 mod tests {
     use super::*;
     use serde::binary::{TAG_ARR, TAG_NULL};
+    use serde::Value;
 
     fn round_trip(value: &Value) -> Value {
         let mut out = Vec::new();
-        write_frame(value, &mut out);
+        frame_into(value, &mut out);
         let mut pos = 0;
-        let back = read_frame(&out, &mut pos).expect("frame decodes");
+        let back = decode_frame::<Value>(&out, &mut pos).expect("frame decodes");
         assert_eq!(pos, out.len(), "frame fully consumed");
         back
     }
@@ -218,13 +196,16 @@ mod tests {
     #[test]
     fn frames_concatenate_into_streams() {
         let mut out = Vec::new();
-        write_frame(&Value::Num(1.0), &mut out);
-        write_frame(&Value::Str("row".into()), &mut out);
+        frame_into(&1u8, &mut out);
+        frame_into("row", &mut out);
         let mut pos = 0;
-        assert_eq!(read_frame(&out, &mut pos).unwrap(), Value::Num(1.0));
         assert_eq!(
-            read_frame(&out, &mut pos).unwrap(),
-            Value::Str("row".into())
+            decode_frame::<Value>(&out, &mut pos).unwrap(),
+            Value::Num(1.0)
+        );
+        assert_eq!(
+            decode_frame::<String>(&out, &mut pos).unwrap(),
+            "row".to_string()
         );
         assert_eq!(pos, out.len());
     }
@@ -243,7 +224,7 @@ mod tests {
             b"aB\x01\x06\x00\x00\x00\x05\xff\xff\xff\xff\x0f", // huge array count
         ] {
             let mut pos = 0;
-            assert!(read_frame(junk, &mut pos).is_err(), "{junk:?}");
+            assert!(decode_frame::<Value>(junk, &mut pos).is_err(), "{junk:?}");
         }
     }
 
@@ -261,23 +242,7 @@ mod tests {
         framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         framed.extend_from_slice(&payload);
         let mut pos = 0;
-        let error = read_frame(&framed, &mut pos).expect_err("depth cap holds");
+        let error = decode_frame::<Value>(&framed, &mut pos).expect_err("depth cap holds");
         assert!(error.0.contains("deep"), "{error}");
-    }
-
-    #[test]
-    fn streaming_frames_match_the_value_path() {
-        let value = Value::Obj(vec![
-            ("action".into(), Value::Str("probe".into())),
-            ("gain".into(), Value::Num(0.25)),
-            ("rows".into(), Value::Arr(vec![Value::Num(1.0)])),
-        ]);
-        let mut streamed = Vec::new();
-        frame_into(&value, &mut streamed);
-        let mut via_tree = Vec::new();
-        write_frame(&value, &mut via_tree);
-        assert_eq!(streamed, via_tree);
-        let decoded: Value = from_frame(&streamed).unwrap();
-        assert_eq!(decoded, value);
     }
 }

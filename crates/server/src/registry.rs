@@ -560,10 +560,37 @@ mod tests {
 
     #[test]
     fn bad_bundles_are_422_not_panics() {
-        let mut bundle = tiny_bundle();
-        bundle.edges.push(("ghost".into(), "out".into()));
-        let err = bundle.compile().unwrap_err();
-        assert_eq!(err.status, 422);
+        let mut unknown_edge = tiny_bundle();
+        unknown_edge.edges.push(("ghost".into(), "out".into()));
+        let mut cycle = tiny_bundle();
+        cycle.edges.push(("out".into(), "src".into()));
+        cycle.expert.cpt("src", [[0.2, 0.8], [0.2, 0.8]]);
+        let mut short_cpt = tiny_bundle();
+        short_cpt.expert.cpt("out", [[0.9, 0.1]]);
+        let mut negative = tiny_bundle();
+        negative.expert.cpt("src", [[-0.2, 1.2]]);
+        let mut unnormalised = tiny_bundle();
+        unnormalised.expert.cpt("out", [[0.9, 0.1], [0.5, 0.6]]);
+        for (case, bundle) in [
+            ("unknown edge endpoint", unknown_edge),
+            ("cycle", cycle),
+            ("wrong CPT length", short_cpt),
+            ("negative entry", negative),
+            ("row not summing to one", unnormalised),
+        ] {
+            let err = bundle.compile().unwrap_err();
+            assert_eq!(err.status, 422, "{case}: {err:?}");
+        }
+
+        // A NaN entry arrives as the JSON marker string and parses; the
+        // loader must still refuse it.
+        let json = serde_json::to_string(&tiny_bundle()).unwrap();
+        let nan = json.replace("[0.2,0.8]", r#"["NaN",0.8]"#);
+        assert_ne!(nan, json, "the src row is in the encoding");
+        let err = ModelBundle::from_json(&nan)
+            .and_then(|bundle| bundle.compile())
+            .unwrap_err();
+        assert_eq!(err.status, 422, "NaN entry: {err:?}");
     }
 
     #[test]
@@ -607,15 +634,27 @@ mod tests {
 
     #[test]
     fn bad_partitions_are_422_not_panics() {
-        let mut bundle = board_bundle();
         // Violates the extraction contract: lat_b's parent vin stays
         // interface, but obs_b's parent lat_b moves out of the block.
-        bundle.partition.as_mut().unwrap().blocks[1]
+        let mut open_block = board_bundle();
+        open_block.partition.as_mut().unwrap().blocks[1]
             .members
             .retain(|m| m != "lat_b");
-        let err = ModelRegistry::new()
-            .insert_bundle("board", &bundle)
-            .unwrap_err();
-        assert_eq!(err.status, 422);
+        let mut named_like_a_variable = board_bundle();
+        named_like_a_variable.partition.as_mut().unwrap().blocks[0].name = "obs_b".into();
+        let mut shared_member = board_bundle();
+        shared_member.partition.as_mut().unwrap().blocks[1]
+            .members
+            .push("obs_a".into());
+        for (case, bundle) in [
+            ("member's parent outside the block", open_block),
+            ("block name collides with a variable", named_like_a_variable),
+            ("member listed in two blocks", shared_member),
+        ] {
+            let err = ModelRegistry::new()
+                .insert_bundle("board", &bundle)
+                .unwrap_err();
+            assert_eq!(err.status, 422, "{case}: {err:?}");
+        }
     }
 }

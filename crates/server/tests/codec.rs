@@ -4,11 +4,23 @@
 //! messy-but-finite floats (thirds, ten-thousandths — values whose
 //! decimal rendering exercises the shortest-roundtrip printer) and on
 //! real inference output, whose posteriors and log-likelihoods are
-//! arbitrary doubles the kernels actually produced.
+//! arbitrary doubles the kernels actually produced. They also pin that
+//! a typed binary frame read back as a dynamic `serde::Value`
+//! re-encodes to the typed bytes in both codecs — the tree that
+//! `serde_json::to_string_pretty` prints is the one the wire carries.
 
 use abbd_core::fixtures::toy_compiled_model;
 use abbd_server::{codec, SessionReport, SessionRequest};
 use proptest::prelude::*;
+
+/// Reads `frame` back as a `serde::Value` and asserts the tree
+/// re-encodes to `frame` and to `json`, the typed JSON bytes.
+fn assert_value_read_back_matches(frame: &[u8], json: &str) -> Result<(), TestCaseError> {
+    let tree: serde::Value = codec::from_frame(frame).unwrap();
+    prop_assert_eq!(codec::to_frame(&tree), frame);
+    prop_assert_eq!(json_of(&tree), json);
+    Ok(())
+}
 
 /// Canonical comparison form: the JSON rendering. (The DTOs do not all
 /// implement `Eq`, and float identity is exactly what the JSON printer's
@@ -79,9 +91,8 @@ proptest! {
         prop_assert_eq!(json_of(&from_binary), json_of(&report));
     }
 
-    /// The streaming serializers emit byte-identical wire output to the
-    /// `Value`-tree fallback, both codecs, on arbitrary requests — so
-    /// retiring the intermediate tree cannot change a single wire byte.
+    /// A request's binary frame, read back as a `Value`, re-encodes to
+    /// the typed frame and the typed JSON byte for byte.
     #[test]
     fn streaming_requests_are_byte_identical_to_the_value_path(
         pin in 0usize..2,
@@ -96,24 +107,11 @@ proptest! {
         if delta {
             request = request.into_delta();
         }
-        let tree = serde::Serialize::to_value(&request);
-
-        let mut streamed_json = Vec::new();
-        serde::Serialize::write_json(&request, &mut streamed_json);
-        let mut tree_json = Vec::new();
-        serde::json::write_value(&tree, &mut tree_json);
-        prop_assert_eq!(&streamed_json, &tree_json);
-
-        let mut streamed_frame = Vec::new();
-        codec::frame_into(&request, &mut streamed_frame);
-        let mut tree_frame = Vec::new();
-        codec::write_frame(&tree, &mut tree_frame);
-        prop_assert_eq!(streamed_frame, tree_frame);
+        assert_value_read_back_matches(&codec::to_frame(&request), &json_of(&request))?;
     }
 
-    /// The same byte-identity on real inference output: reports stream
-    /// onto the wire exactly as the tree path encoded them, and the
-    /// streaming decoder reads back what the tree decoder reads.
+    /// The same read-back on real inference output, whose doubles come
+    /// out of the kernels: the `Value` keeps every bit.
     #[test]
     fn streaming_reports_are_byte_identical_to_the_value_path(
         pin in 0usize..2,
@@ -126,27 +124,7 @@ proptest! {
             request.observation.mark_failing("out1");
         }
         let report = toy_compiled_model().serve(&request).unwrap();
-        let tree = serde::Serialize::to_value(&report);
-
-        let mut streamed_json = Vec::new();
-        serde::Serialize::write_json(&report, &mut streamed_json);
-        let mut tree_json = Vec::new();
-        serde::json::write_value(&tree, &mut tree_json);
-        prop_assert_eq!(String::from_utf8(streamed_json).unwrap(), String::from_utf8(tree_json).unwrap());
-
-        let mut streamed_frame = Vec::new();
-        codec::frame_into(&report, &mut streamed_frame);
-        let mut tree_frame = Vec::new();
-        codec::write_frame(&tree, &mut tree_frame);
-        prop_assert_eq!(&streamed_frame, &tree_frame);
-
-        // Decode equivalence: the streaming reader and the tree reader
-        // agree on the same frame.
-        let streamed: SessionReport = codec::from_frame(&streamed_frame).unwrap();
-        let mut pos = 0;
-        let tree_back = codec::read_frame(&streamed_frame, &mut pos).unwrap();
-        let via_tree = <SessionReport as serde::Deserialize>::from_value(&tree_back).unwrap();
-        prop_assert_eq!(json_of(&streamed), json_of(&via_tree));
+        assert_value_read_back_matches(&codec::to_frame(&report), &json_of(&report))?;
     }
 
     /// Frame-level sanity under concatenation: N encoded requests stream
@@ -158,12 +136,11 @@ proptest! {
         for &max_steps in &steps {
             let mut request = SessionRequest::new(Default::default());
             request.policy.max_steps = max_steps;
-            codec::write_frame(&serde::Serialize::to_value(&request), &mut wire);
+            codec::frame_into(&request, &mut wire);
         }
         let mut pos = 0;
         for &max_steps in &steps {
-            let value = codec::read_frame(&wire, &mut pos).unwrap();
-            let decoded = <SessionRequest as serde::Deserialize>::from_value(&value).unwrap();
+            let decoded: SessionRequest = codec::decode_frame(&wire, &mut pos).unwrap();
             prop_assert_eq!(decoded.policy.max_steps, max_steps);
         }
         prop_assert_eq!(pos, wire.len());

@@ -46,6 +46,27 @@ fn malformed_json_is_400() {
     // Valid JSON of the wrong shape is still a 400, with the field named.
     let (status, body) = c.post("/v1/models/toy/serve", "{\"nope\": 1}").unwrap();
     assert_eq!(decode_error(status, &body), (400, "bad_request".into()));
+    // So is a state that is not a `usize`: it is refused, never cast
+    // into a valid state (`["pin",-1]` must not be diagnosed as 0).
+    let mut request = SessionRequest::new(Default::default());
+    request.observation.set("pin", 1);
+    let json = serde_json::to_string(&request).unwrap();
+    let good = r#"["pin",1]"#;
+    assert!(json.contains(good), "{json}");
+    for bad in [
+        r#"["pin",-1]"#,
+        r#"["pin",1.5]"#,
+        r#"["pin",18446744073709551616]"#,
+    ] {
+        let (status, body) = c
+            .post("/v1/models/toy/serve", &json.replace(good, bad))
+            .unwrap();
+        assert_eq!(
+            decode_error(status, &body),
+            (400, "bad_request".into()),
+            "{bad}"
+        );
+    }
 }
 
 #[test]

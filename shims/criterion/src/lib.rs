@@ -11,7 +11,9 @@
 //!   targets) runs every closure once and skips timing, so benches cannot
 //!   bit-rot without failing the test suite;
 //! - a bare (non-flag) CLI argument filters benches by substring;
-//! - `CRITERION_JSON=<path>` writes all results to `<path>` as JSON;
+//! - `CRITERION_JSON=<path>` writes all results to `<path>` as JSON,
+//!   one row per bench with its spread (p10/p90, median absolute
+//!   deviation) and a machine stamp (`nproc`, short git revision);
 //! - `CRITERION_QUICK=1` caps sampling at one round for fast smoke runs.
 
 pub use std::hint::black_box;
@@ -63,6 +65,12 @@ pub struct BenchResult {
     pub mean_ns: f64,
     /// Median wall time per iteration, nanoseconds.
     pub median_ns: f64,
+    /// 10th-percentile wall time per iteration, nanoseconds.
+    pub p10_ns: f64,
+    /// 90th-percentile wall time per iteration, nanoseconds.
+    pub p90_ns: f64,
+    /// Median absolute deviation from `median_ns`, nanoseconds.
+    pub mad_ns: f64,
     /// Number of timed samples.
     pub samples: usize,
     /// Iterations per sample.
@@ -119,16 +127,27 @@ impl Criterion {
         &self.results
     }
 
-    /// Renders every result as a JSON array (machine-readable baseline).
+    /// Renders every result as a JSON array (machine-readable baseline),
+    /// each row stamped with the core count and the short git revision
+    /// of the working directory (`"unknown"` outside a git checkout).
     pub fn results_json(&self) -> String {
+        let nproc = std::thread::available_parallelism().map_or(0, usize::from);
+        let rev = std::process::Command::new("git")
+            .args(["rev-parse", "--short", "HEAD"])
+            .output()
+            .ok()
+            .filter(|out| out.status.success())
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|rev| rev.trim().to_string())
+            .unwrap_or_else(|| "unknown".to_string());
         let mut out = String::from("[\n");
         for (i, r) in self.results.iter().enumerate() {
             if i > 0 {
                 out.push_str(",\n");
             }
             out.push_str(&format!(
-                "  {{\"group\": {:?}, \"bench\": {:?}, \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}}}",
-                r.group, r.bench, r.mean_ns, r.median_ns, r.samples, r.iters_per_sample
+                "  {{\"group\": {:?}, \"bench\": {:?}, \"mean_ns\": {:.1}, \"median_ns\": {:.1}, \"p10_ns\": {:.1}, \"p90_ns\": {:.1}, \"mad_ns\": {:.1}, \"samples\": {}, \"iters_per_sample\": {}, \"nproc\": {nproc}, \"rev\": {rev:?}}}",
+                r.group, r.bench, r.mean_ns, r.median_ns, r.p10_ns, r.p90_ns, r.mad_ns, r.samples, r.iters_per_sample
             ));
         }
         out.push_str("\n]\n");
@@ -208,12 +227,19 @@ impl Criterion {
         per_iter.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         let mean = per_iter.iter().sum::<f64>() / per_iter.len() as f64;
         let median = per_iter[per_iter.len() / 2];
+        // Nearest-rank percentiles of the sorted samples.
+        let quantile = |q: f64| per_iter[((per_iter.len() - 1) as f64 * q).round() as usize];
+        let mut deviations: Vec<f64> = per_iter.iter().map(|t| (t - median).abs()).collect();
+        deviations.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         println!("bench {group}/{bench}: mean {:.1} ns, median {:.1} ns ({samples} samples x {iters} iters)", mean, median);
         self.results.push(BenchResult {
             group: group.to_string(),
             bench: bench.to_string(),
             mean_ns: mean,
             median_ns: median,
+            p10_ns: quantile(0.1),
+            p90_ns: quantile(0.9),
+            mad_ns: deviations[deviations.len() / 2],
             samples,
             iters_per_sample: iters,
         });
@@ -329,6 +355,17 @@ mod tests {
         group.bench_with_input(BenchmarkId::new("param", 3), &3, |b, n| b.iter(|| n * 2));
         group.finish();
         assert_eq!(c.results().len(), 2);
-        assert!(c.results_json().contains("\"bench\": \"param/3\""));
+        let json = c.results_json();
+        assert!(json.contains("\"bench\": \"param/3\""));
+        for key in ["p10_ns", "p90_ns", "mad_ns", "nproc", "rev"] {
+            assert!(
+                json.contains(&format!("\"{key}\": ")),
+                "{key} missing: {json}"
+            );
+        }
+        for r in c.results() {
+            assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns, "{r:?}");
+            assert!(r.mad_ns >= 0.0);
+        }
     }
 }

@@ -4,9 +4,9 @@
 //! layout around this payload encoding).
 //!
 //! Like [`crate::json`], this module is the single source of truth for
-//! the byte format: the `Value`-tree fallback ([`write_value`]) and the
-//! derive-generated `write_binary` / `read_from` fast paths route
-//! through the same helpers, so both paths emit bit-identical bytes.
+//! the byte format: derived and built-in `write_binary` impls and the
+//! [`Value`] writer ([`write_value`]) all emit through the same helpers,
+//! and [`BinReader`] is the one decoder.
 //! Decoding is hardened: every length is checked against the remaining
 //! buffer before it is trusted, and nesting is capped at
 //! [`crate::MAX_DEPTH`].
@@ -84,8 +84,9 @@ pub fn write_obj(len: usize, out: &mut Vec<u8>) {
     write_varint(len as u64, out);
 }
 
-/// Appends the encoding of a whole [`Value`] tree — the fallback path
-/// behind [`crate::Serialize::write_binary`].
+/// Appends the encoding of a whole [`Value`] tree — `Value`'s own
+/// [`crate::Serialize::write_binary`], and the default for impls that
+/// only build a tree.
 pub fn write_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => write_null(out),

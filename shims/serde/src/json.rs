@@ -4,9 +4,9 @@
 //! [`Value`] tree.
 //!
 //! Both halves are the single source of truth for the shim's JSON
-//! grammar — `serde_json` and the derive-generated `write_json` /
-//! `read_from` fast paths all route through here, so the `Value`
-//! fallback and the streaming path emit bit-identical bytes.
+//! grammar — `serde_json`, the derived and built-in `write_json` /
+//! `read_from` impls and the [`Value`] writer ([`write_value`]) all
+//! route through here.
 //!
 //! Wire limits and number formatting:
 //!
@@ -74,7 +74,8 @@ pub fn write_f64(n: f64, out: &mut Vec<u8>) {
 }
 
 /// Appends the compact (no whitespace) encoding of a [`Value`] tree —
-/// the fallback path behind [`crate::Serialize::write_json`].
+/// `Value`'s own [`crate::Serialize::write_json`], and the default for
+/// impls that only build a tree.
 pub fn write_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Null => out.extend_from_slice(b"null"),
@@ -428,7 +429,9 @@ mod tests {
         let mut out = Vec::new();
         write_f64(-0.0, &mut out);
         assert_eq!(out, b"-0");
-        let back = parse("-0").unwrap().as_num().unwrap();
+        let Value::Num(back) = parse("-0").unwrap() else {
+            panic!("number expected");
+        };
         assert_eq!(back, 0.0);
         assert!(back.is_sign_negative());
         // Positive zero is untouched.

@@ -1,21 +1,24 @@
 //! Minimal in-tree replacement for the `serde` crate.
 //!
-//! The workspace builds offline, so instead of the real serde data model
-//! this shim uses a single concrete [`Value`] tree: `Serialize` renders a
-//! type into a `Value`, `Deserialize` rebuilds a type from one. The derive
-//! macros (re-exported from `serde_derive`) generate impls of these two
-//! traits for plain structs and enums, honouring `#[serde(default)]` and
-//! `#[serde(skip)]`.
+//! The workspace builds offline, so this shim carries its own small data
+//! model and one data path per direction:
 //!
-//! On top of the tree model sits a **streaming fast path**:
-//! [`Serialize::write_json`] / [`Serialize::write_binary`] emit a type
-//! straight into a byte buffer, and [`Deserialize::read_from`] decodes
-//! it from an event-driven [`Reader`] ([`json::JsonReader`] or
-//! [`binary::BinReader`]) without materialising a `Value`. The default
-//! methods fall back through the tree, so hand-written impls stay
-//! correct without opting in, and both paths are pinned byte-identical
-//! (the derive and the fallback route through the same [`json`] /
-//! [`binary`] emit helpers).
+//! * [`Serialize::write_json`] / [`Serialize::write_binary`] stream a
+//!   type straight into a byte buffer;
+//! * [`Deserialize::read_from`] decodes it from an event-driven
+//!   [`Reader`] ([`json::JsonReader`] or [`binary::BinReader`]).
+//!
+//! The derive macros (re-exported from `serde_derive`) generate exactly
+//! those three methods for plain structs and enums, honouring
+//! `#[serde(default)]` and `#[serde(skip)]`.
+//!
+//! [`Value`] is the dynamic, self-describing form of the same model. It
+//! implements both traits, so any encoding can be read into a tree
+//! (`Value::read_from`) and any tree written back out. Two readers need
+//! one: `serde_json::to_string_pretty`, which indents a tree, and callers
+//! that inspect a body of unknown shape. [`Serialize::to_value`] builds
+//! it for any type by streaming the binary encoding and reading it back,
+//! which keeps every f64 bit.
 //!
 //! Wire limits: both readers cap container nesting at [`MAX_DEPTH`], so
 //! adversarial input fails with a parse error instead of exhausting the
@@ -39,7 +42,7 @@ pub use serde_derive::{Deserialize, Serialize};
 /// `[[[[…` input (JSON or binary) cannot overflow the decoder's stack.
 pub const MAX_DEPTH: usize = 128;
 
-/// The common self-describing tree both traits speak.
+/// The dynamic, self-describing form of the data model.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// JSON `null`.
@@ -54,45 +57,6 @@ pub enum Value {
     Arr(Vec<Value>),
     /// JSON object with insertion order preserved.
     Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// The object entries, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Value)]> {
-        match self {
-            Value::Obj(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
-    /// The array elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
-    /// The string contents, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric contents, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Value::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Looks a key up in an object's entry list (linear scan; objects are tiny).
-pub fn obj_get<'v>(entries: &'v [(String, Value)], key: &str) -> Option<&'v Value> {
-    entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
 }
 
 /// Deserialization failure: what was expected, where.
@@ -251,9 +215,9 @@ pub trait Reader<'de> {
         }
     }
 
-    /// Consumes one whole value into a [`Value`] tree — the bridge that
-    /// lets [`Deserialize::from_value`]-only types decode from a
-    /// stream.
+    /// Consumes one whole value into a [`Value`] tree — how
+    /// [`Value::read_from`] and the default [`Serialize::to_value`] read
+    /// a stream whose shape no type fixes.
     ///
     /// # Errors
     ///
@@ -291,52 +255,52 @@ pub trait Reader<'de> {
     }
 }
 
-/// Renders `self` into a [`Value`] tree, or streams it straight into a
-/// byte buffer.
+/// Streams `self` into a byte buffer, in either encoding.
+///
+/// An impl overrides either both writers — what the derive does — or
+/// [`Serialize::to_value`], for a hand-written tree. Each default calls
+/// the other side, so an impl that overrides neither recurses forever.
 pub trait Serialize {
-    /// The `Value` encoding of `self`.
-    fn to_value(&self) -> Value;
+    /// The [`Value`] tree of `self`. The default streams
+    /// [`Serialize::write_binary`] and reads the bytes back, which is
+    /// lossless: binary numbers are raw f64 bits.
+    ///
+    /// # Panics
+    ///
+    /// If `self` nests deeper than [`MAX_DEPTH`], which the reader
+    /// refuses.
+    fn to_value(&self) -> Value {
+        let mut bytes = Vec::new();
+        self.write_binary(&mut bytes);
+        binary::BinReader::new(&bytes)
+            .read_value()
+            .expect("write_binary emits one well-formed value")
+    }
 
-    /// Appends the compact JSON encoding of `self` to `out`, without
-    /// materialising a `Value`. The default falls back through
-    /// [`Serialize::to_value`]; both paths emit identical bytes.
+    /// Appends the compact JSON encoding of `self` to `out`. The default
+    /// encodes [`Serialize::to_value`].
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_value(&self.to_value(), out);
     }
 
-    /// Appends the compact binary encoding of `self` to `out`, without
-    /// materialising a `Value`. The default falls back through
-    /// [`Serialize::to_value`]; both paths emit identical bytes.
+    /// Appends the compact binary encoding of `self` to `out`. The
+    /// default encodes [`Serialize::to_value`].
     fn write_binary(&self, out: &mut Vec<u8>) {
         binary::write_value(&self.to_value(), out);
     }
 }
 
-/// Rebuilds `Self` from a [`Value`] tree, or straight from a streaming
-/// [`Reader`].
+/// Decodes `Self` from a streaming [`Reader`].
 pub trait Deserialize: Sized {
-    /// Parses `Self` out of `value`.
-    fn from_value(value: &Value) -> Result<Self, DeError>;
-
-    /// Parses `Self` out of a streaming reader. The default falls back
-    /// to [`Reader::read_value`] + [`Deserialize::from_value`], so
-    /// hand-written tree impls keep working; derived impls decode
-    /// event-by-event with no intermediate tree.
+    /// Parses `Self` out of `reader`, event by event.
     ///
     /// # Errors
     ///
     /// Propagates reader parse failures and shape mismatches.
-    fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
-        let value = reader.read_value()?;
-        Self::from_value(&value)
-    }
+    fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError>;
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         (**self).write_json(out);
     }
@@ -361,10 +325,6 @@ impl Serialize for Value {
 }
 
 impl Deserialize for Value {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        Ok(value.clone())
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         reader.read_value()
     }
@@ -373,10 +333,6 @@ impl Deserialize for Value {
 macro_rules! impl_int {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Num(*self as f64)
-            }
-
             fn write_json(&self, out: &mut Vec<u8>) {
                 json::write_f64(*self as f64, out);
             }
@@ -386,22 +342,18 @@ macro_rules! impl_int {
             }
         }
         impl Deserialize for $t {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let n = value
-                    .as_num()
-                    .ok_or_else(|| DeError::expected("number", stringify!($t)))?;
-                if n.fract() != 0.0 {
-                    return Err(DeError::expected("integer", stringify!($t)));
-                }
-                Ok(n as $t)
-            }
-
             fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
                 let n = reader.read_f64()?;
-                if n.fract() != 0.0 {
-                    return Err(DeError::expected("integer", stringify!($t)));
+                // `as` truncates fractions and saturates out-of-range
+                // values, so accept only whole numbers in [MIN, MAX + 1).
+                // `MAX as f64 + 1.0` is exactly MAX + 1, a power of two:
+                // for 64-bit types `MAX` is not representable and rounds
+                // up to it, absorbing the added 1.0.
+                if n.fract() == 0.0 && n >= <$t>::MIN as f64 && n < <$t>::MAX as f64 + 1.0 {
+                    Ok(n as $t)
+                } else {
+                    Err(DeError::expected("integer in range", stringify!($t)))
                 }
-                Ok(n as $t)
             }
         }
     )*};
@@ -410,10 +362,6 @@ macro_rules! impl_int {
 impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
 impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::Num(*self)
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_f64(*self, out);
     }
@@ -424,23 +372,11 @@ impl Serialize for f64 {
 }
 
 impl Deserialize for f64 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Num(n) => Ok(*n),
-            // NaN/inf round-trip through null / string markers.
-            Value::Null => Ok(f64::NAN),
-            Value::Str(s) if s == "NaN" => Ok(f64::NAN),
-            Value::Str(s) if s == "inf" => Ok(f64::INFINITY),
-            Value::Str(s) if s == "-inf" => Ok(f64::NEG_INFINITY),
-            _ => Err(DeError::expected("number", "f64")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         match reader.peek()? {
             Peek::Num => reader.read_f64(),
-            // Same leniency as `from_value`: NaN/inf arrive as null /
-            // string markers from the JSON encoding.
+            // NaN/inf arrive as null / string markers from the JSON
+            // encoding.
             Peek::Null => {
                 reader.read_null()?;
                 Ok(f64::NAN)
@@ -457,10 +393,6 @@ impl Deserialize for f64 {
 }
 
 impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::Num(f64::from(*self))
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_f64(f64::from(*self), out);
     }
@@ -471,20 +403,12 @@ impl Serialize for f32 {
 }
 
 impl Deserialize for f32 {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        f64::from_value(value).map(|n| n as f32)
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         f64::read_from(reader).map(|n| n as f32)
     }
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(if *self { b"true" } else { b"false" });
     }
@@ -495,23 +419,12 @@ impl Serialize for bool {
 }
 
 impl Deserialize for bool {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Bool(b) => Ok(*b),
-            _ => Err(DeError::expected("bool", "bool")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         reader.read_bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self, out);
     }
@@ -522,23 +435,12 @@ impl Serialize for String {
 }
 
 impl Deserialize for String {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_str()
-            .map(str::to_owned)
-            .ok_or_else(|| DeError::expected("string", "String"))
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         Ok(reader.read_str()?.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_owned())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self, out);
     }
@@ -549,10 +451,6 @@ impl Serialize for str {
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         json::write_escaped(self.encode_utf8(&mut [0u8; 4]), out);
     }
@@ -563,17 +461,6 @@ impl Serialize for char {
 }
 
 impl Deserialize for char {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        let s = value
-            .as_str()
-            .ok_or_else(|| DeError::expected("string", "char"))?;
-        let mut chars = s.chars();
-        match (chars.next(), chars.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::expected("single-character string", "char")),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         let s = reader.read_str()?;
         let mut chars = s.chars();
@@ -585,13 +472,6 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(v) => v.to_value(),
-        }
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         match self {
             None => out.extend_from_slice(b"null"),
@@ -608,13 +488,6 @@ impl<T: Serialize> Serialize for Option<T> {
 }
 
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         if reader.peek()? == Peek::Null {
             reader.read_null()?;
@@ -626,10 +499,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         self.as_slice().write_json(out);
     }
@@ -640,15 +509,6 @@ impl<T: Serialize> Serialize for Vec<T> {
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        value
-            .as_arr()
-            .ok_or_else(|| DeError::expected("array", "Vec"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         reader.begin_array()?;
         let mut items = Vec::new();
@@ -660,10 +520,6 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         out.push(b'[');
         for (i, item) in self.iter().enumerate() {
@@ -686,10 +542,6 @@ impl<T: Serialize> Serialize for [T] {
 macro_rules! impl_tuple {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$n.to_value()),+])
-            }
-
             fn write_json(&self, out: &mut Vec<u8>) {
                 out.push(b'[');
                 let mut first = true;
@@ -708,18 +560,6 @@ macro_rules! impl_tuple {
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(value: &Value) -> Result<Self, DeError> {
-                let items = value.as_arr().ok_or_else(|| DeError::expected("array", "tuple"))?;
-                let expected = [$( stringify!($n) ),+].len();
-                if items.len() != expected {
-                    return Err(DeError::custom(format!(
-                        "tuple length mismatch: expected {expected}, got {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($t::from_value(&items[$n])?,)+))
-            }
-
             fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
                 reader.begin_array()?;
                 let expected = [$( stringify!($n) ),+].len();
@@ -753,14 +593,6 @@ impl_tuple! {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Arr(
-            self.iter()
-                .map(|(k, v)| Value::Arr(vec![k.to_value(), v.to_value()]))
-                .collect(),
-        )
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         write_pairs_json(self.iter(), out);
     }
@@ -771,10 +603,6 @@ impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_pairs(value)?.collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         read_pairs(reader, BTreeMap::new(), |map, k, v| {
             map.insert(k, v);
@@ -783,21 +611,6 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        // Sort the pair encoding so serialization is deterministic.
-        let mut pairs: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| {
-                (
-                    format!("{:?}", k.to_value()),
-                    Value::Arr(vec![k.to_value(), v.to_value()]),
-                )
-            })
-            .collect();
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Arr(pairs.into_iter().map(|(_, v)| v).collect())
-    }
-
     fn write_json(&self, out: &mut Vec<u8>) {
         write_pairs_json(sorted_hash_pairs(self).into_iter(), out);
     }
@@ -808,10 +621,6 @@ impl<K: Serialize, V: Serialize> Serialize for HashMap<K, V> {
 }
 
 impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(value: &Value) -> Result<Self, DeError> {
-        map_pairs(value)?.collect()
-    }
-
     fn read_from<'de, R: Reader<'de>>(reader: &mut R) -> Result<Self, DeError> {
         read_pairs(reader, HashMap::new(), |map, k, v| {
             map.insert(k, v);
@@ -819,8 +628,8 @@ impl<K: Deserialize + Eq + Hash, V: Deserialize> Deserialize for HashMap<K, V> {
     }
 }
 
-/// The same deterministic ordering [`HashMap::to_value`] uses: pairs
-/// sorted by the debug rendering of the key's `Value` encoding.
+/// A deterministic pair order for a `HashMap`: sorted by the debug
+/// rendering of each key's [`Value`].
 fn sorted_hash_pairs<K: Serialize, V>(map: &HashMap<K, V>) -> Vec<(&K, &V)> {
     let mut pairs: Vec<(String, (&K, &V))> = map
         .iter()
@@ -889,41 +698,43 @@ fn read_pairs<'de, R: Reader<'de>, K: Deserialize, V: Deserialize, M>(
     Ok(map)
 }
 
-/// Shared `[[k, v], ...]` decoding for both map types.
-fn map_pairs<'v, K: Deserialize, V: Deserialize>(
-    value: &'v Value,
-) -> Result<impl Iterator<Item = Result<(K, V), DeError>> + 'v, DeError> {
-    let items = value
-        .as_arr()
-        .ok_or_else(|| DeError::expected("array of pairs", "map"))?;
-    Ok(items.iter().map(|item| {
-        let pair = item
-            .as_arr()
-            .ok_or_else(|| DeError::expected("[key, value] pair", "map"))?;
-        if pair.len() != 2 {
-            return Err(DeError::expected("[key, value] pair", "map"));
-        }
-        Ok((K::from_value(&pair[0])?, V::from_value(&pair[1])?))
-    }))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn json_read<T: Deserialize>(text: &str) -> Result<T, DeError> {
+        let mut reader = json::JsonReader::new(text);
+        let v = T::read_from(&mut reader)?;
+        reader.expect_end()?;
+        Ok(v)
+    }
+
+    fn binary_read<T: Deserialize>(bytes: &[u8]) -> Result<T, DeError> {
+        let mut reader = binary::BinReader::new(bytes);
+        let v = T::read_from(&mut reader)?;
+        reader.expect_end()?;
+        Ok(v)
+    }
+
+    /// `v` survives both writers and both readers.
+    fn round_trips<T: Serialize + Deserialize + PartialEq + fmt::Debug>(v: &T) {
+        let (mut js, mut bs) = (vec![], vec![]);
+        v.write_json(&mut js);
+        v.write_binary(&mut bs);
+        assert_eq!(
+            &json_read::<T>(std::str::from_utf8(&js).unwrap()).unwrap(),
+            v
+        );
+        assert_eq!(&binary_read::<T>(&bs).unwrap(), v);
+    }
+
     #[test]
     fn primitives_roundtrip() {
-        assert_eq!(u32::from_value(&42u32.to_value()), Ok(42));
-        assert_eq!(f64::from_value(&1.5f64.to_value()), Ok(1.5));
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()),
-            Ok("hi".into())
-        );
-        assert_eq!(Option::<u8>::from_value(&Value::Null), Ok(None));
-        assert_eq!(
-            <(u8, String)>::from_value(&(3u8, "x".to_string()).to_value()),
-            Ok((3, "x".into()))
-        );
+        round_trips(&42u32);
+        round_trips(&1.5f64);
+        round_trips(&"hi".to_string());
+        round_trips(&Option::<u8>::None);
+        round_trips(&(3u8, "x".to_string()));
     }
 
     #[test]
@@ -931,27 +742,46 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert(2u32, "b".to_string());
         m.insert(1u32, "a".to_string());
-        let v = m.to_value();
-        assert_eq!(BTreeMap::<u32, String>::from_value(&v), Ok(m));
+        round_trips(&m);
+        let mut js = Vec::new();
+        m.write_json(&mut js);
+        assert_eq!(js, br#"[[1,"a"],[2,"b"]]"#);
     }
 
-    /// Every built-in impl must emit the same bytes from its streaming
-    /// writer as the `Value`-tree fallback, both codecs.
+    /// A hand-written tree impl, shaped like a batch header frame: it
+    /// overrides only `to_value`, so both writers take the default path.
+    struct TreeOnly;
+
+    impl Serialize for TreeOnly {
+        fn to_value(&self) -> Value {
+            Value::Obj(vec![("deduction".to_string(), Value::Null)])
+        }
+    }
+
+    /// A binary encoding read back as a [`Value`] re-encodes to the same
+    /// bytes in both codecs, and is what `to_value` returns — so the tree
+    /// `to_string_pretty` prints is exactly what the writers stream.
     #[test]
     fn streaming_writers_match_the_value_path() {
         fn check<T: Serialize>(v: &T) {
-            let (mut js, mut jv, mut bs, mut bv) = (vec![], vec![], vec![], vec![]);
+            let (mut js, mut bs) = (vec![], vec![]);
             v.write_json(&mut js);
-            json::write_value(&v.to_value(), &mut jv);
-            assert_eq!(js, jv);
             v.write_binary(&mut bs);
-            binary::write_value(&v.to_value(), &mut bv);
-            assert_eq!(bs, bv);
+            let tree: Value = binary_read(&bs).expect("binary reads back as a Value");
+            let (mut tree_js, mut tree_bs, mut to_value_bs) = (vec![], vec![], vec![]);
+            json::write_value(&tree, &mut tree_js);
+            binary::write_value(&tree, &mut tree_bs);
+            // Compared as bytes: `Value::Num(NaN)` is not `==` itself.
+            binary::write_value(&v.to_value(), &mut to_value_bs);
+            assert_eq!(tree_js, js);
+            assert_eq!(tree_bs, bs);
+            assert_eq!(to_value_bs, bs);
         }
         check(&42u32);
         check(&-7i64);
         check(&1.5f64);
         check(&f64::NAN);
+        check(&-0.0f64);
         check(&true);
         check(&'π');
         check(&"a\"b\\c\n".to_string());
@@ -967,18 +797,18 @@ mod tests {
         hm.insert("b".to_string(), 2u32);
         hm.insert("a".to_string(), 1u32);
         check(&hm);
+        check(&TreeOnly);
+        let mut js = Vec::new();
+        TreeOnly.write_json(&mut js);
+        assert_eq!(js, br#"{"deduction":null}"#);
     }
 
-    /// The streaming readers must accept everything the `Value` path
-    /// accepts, including the f64 NaN/inf leniency.
+    /// The streaming readers accept the documented leniencies (NaN/inf
+    /// markers for f64) and refuse malformed shapes. An integer takes
+    /// only whole numbers its type can hold: `as` would truncate or
+    /// saturate the rest into a valid-looking value.
     #[test]
     fn streaming_readers_match_the_value_path() {
-        fn json_read<T: Deserialize>(text: &str) -> Result<T, DeError> {
-            let mut reader = json::JsonReader::new(text);
-            let v = T::read_from(&mut reader)?;
-            reader.expect_end()?;
-            Ok(v)
-        }
         assert_eq!(json_read::<u32>("42"), Ok(42));
         assert!(json_read::<u32>("1.5").is_err());
         assert!(json_read::<f64>("null").unwrap().is_nan());
@@ -993,5 +823,27 @@ mod tests {
         let m: HashMap<String, u32> = json_read("[[\"a\",1],[\"b\",2]]").unwrap();
         assert_eq!(m.len(), 2);
         assert_eq!(m["b"], 2);
+
+        assert!(json_read::<usize>("-1").is_err());
+        assert!(json_read::<Vec<(String, usize)>>(r#"[["out",-1]]"#).is_err());
+        assert!(json_read::<u8>("256").is_err());
+        assert!(json_read::<u32>("4294967296").is_err());
+        // 2^64 and 2^63 are `u64::MAX as f64` and `i64::MAX as f64`.
+        assert!(json_read::<u64>("18446744073709551616").is_err());
+        assert!(json_read::<i64>("9223372036854775808").is_err());
+        assert!(json_read::<i8>("-129").is_err());
+        assert!(json_read::<u32>("\"NaN\"").is_err());
+        let mut negative = Vec::new();
+        binary::write_f64(-2.0, &mut negative);
+        assert!(binary_read::<usize>(&negative).is_err());
+        assert_eq!(json_read::<i64>("-9223372036854775808"), Ok(i64::MIN));
+        assert_eq!(json_read::<i8>("-128"), Ok(i8::MIN));
+        assert_eq!(json_read::<u8>("255"), Ok(u8::MAX));
+        assert_eq!(json_read::<u32>("4294967295"), Ok(u32::MAX));
+        // The largest f64 below 2^64.
+        assert_eq!(
+            json_read::<u64>("18446744073709549568"),
+            Ok(18_446_744_073_709_549_568)
+        );
     }
 }

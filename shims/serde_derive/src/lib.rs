@@ -307,31 +307,16 @@ fn gen_serialize(shape: &Shape) -> String {
     match shape {
         Shape::NamedStruct { name, fields } => {
             let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
-            let mut value = String::from(
-                "let mut entries: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = ::std::vec::Vec::new();\n",
-            );
-            for f in &live {
-                value.push_str(&format!(
-                    "entries.push((\"{0}\".to_string(), ::serde::Serialize::to_value(&self.{0})));\n",
-                    f.name
-                ));
-            }
-            value.push_str("::serde::Value::Obj(entries)");
             let json = json_obj_body(&live, |f| format!("&self.{f}"));
             let bin = binary_obj_body(&live, |f| format!("&self.{f}"));
-            impl_serialize(name, &value, &json, &bin)
+            impl_serialize(name, &json, &bin)
         }
         Shape::TupleStruct { name, arity } => {
-            let (value, json, bin);
+            let (json, bin);
             if *arity == 1 {
-                value = "::serde::Serialize::to_value(&self.0)".to_string();
                 json = "::serde::Serialize::write_json(&self.0, out);\n".to_string();
                 bin = "::serde::Serialize::write_binary(&self.0, out);\n".to_string();
             } else {
-                let items: Vec<String> = (0..*arity)
-                    .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                    .collect();
-                value = format!("::serde::Value::Arr(vec![{}])", items.join(", "));
                 let mut j = String::from("out.push(b'[');\n");
                 for i in 0..*arity {
                     if i > 0 {
@@ -351,25 +336,19 @@ fn gen_serialize(shape: &Shape) -> String {
                 }
                 bin = b;
             }
-            impl_serialize(name, &value, &json, &bin)
+            impl_serialize(name, &json, &bin)
         }
         Shape::UnitStruct { name } => impl_serialize(
             name,
-            "::serde::Value::Null",
             &extend_lit("null"),
             "::serde::binary::write_null(out);\n",
         ),
         Shape::Enum { name, variants } => {
-            let mut value_arms = String::new();
             let mut json_arms = String::new();
             let mut bin_arms = String::new();
             for v in variants {
                 match &v.kind {
                     VariantKind::Unit => {
-                        value_arms.push_str(&format!(
-                            "{name}::{v} => ::serde::Value::Str(\"{v}\".to_string()),\n",
-                            v = v.name
-                        ));
                         json_arms.push_str(&format!(
                             "{name}::{v} => {{\n{body}}}\n",
                             v = v.name,
@@ -383,19 +362,6 @@ fn gen_serialize(shape: &Shape) -> String {
                     VariantKind::Tuple(arity) => {
                         let binds: Vec<String> = (0..*arity).map(|i| format!("f{i}")).collect();
                         let pattern = format!("{name}::{}({})", v.name, binds.join(", "));
-                        let inner = if *arity == 1 {
-                            "::serde::Serialize::to_value(f0)".to_string()
-                        } else {
-                            let items: Vec<String> = binds
-                                .iter()
-                                .map(|b| format!("::serde::Serialize::to_value({b})"))
-                                .collect();
-                            format!("::serde::Value::Arr(vec![{}])", items.join(", "))
-                        };
-                        value_arms.push_str(&format!(
-                            "{pattern} => ::serde::Value::Obj(vec![(\"{v}\".to_string(), {inner})]),\n",
-                            v = v.name
-                        ));
                         let mut j = extend_lit(&format!("{{\"{}\":", v.name));
                         let mut b = format!(
                             "::serde::binary::write_obj(1, out);\n::serde::binary::write_key(\"{}\", out);\n",
@@ -430,20 +396,6 @@ fn gen_serialize(shape: &Shape) -> String {
                         let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
                         let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
                         let pattern = format!("{name}::{} {{ {} }}", v.name, binds.join(", "));
-                        let items: Vec<String> = live
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "(\"{0}\".to_string(), ::serde::Serialize::to_value({0}))",
-                                    f.name
-                                )
-                            })
-                            .collect();
-                        value_arms.push_str(&format!(
-                            "{pattern} => ::serde::Value::Obj(vec![(\"{v}\".to_string(), ::serde::Value::Obj(vec![{items}]))]),\n",
-                            v = v.name,
-                            items = items.join(", ")
-                        ));
                         let mut j = extend_lit(&format!("{{\"{}\":", v.name));
                         j.push_str(&json_obj_body(&live, |f| f.to_string()));
                         j.push_str("out.push(b'}');\n");
@@ -459,7 +411,6 @@ fn gen_serialize(shape: &Shape) -> String {
             }
             impl_serialize(
                 name,
-                &format!("match self {{\n{value_arms}\n}}"),
                 &format!("match self {{\n{json_arms}\n}}"),
                 &format!("match self {{\n{bin_arms}\n}}"),
             )
@@ -467,38 +418,15 @@ fn gen_serialize(shape: &Shape) -> String {
     }
 }
 
-fn impl_serialize(name: &str, value_body: &str, json_body: &str, binary_body: &str) -> String {
+fn impl_serialize(name: &str, json_body: &str, binary_body: &str) -> String {
     format!(
-        "#[automatically_derived]\nimpl ::serde::Serialize for {name} {{\n  fn to_value(&self) -> ::serde::Value {{\n{value_body}\n  }}\n  fn write_json(&self, out: &mut ::std::vec::Vec<u8>) {{\n{json_body}\n  }}\n  fn write_binary(&self, out: &mut ::std::vec::Vec<u8>) {{\n{binary_body}\n  }}\n}}\n"
+        "#[automatically_derived]\nimpl ::serde::Serialize for {name} {{\n  fn write_json(&self, out: &mut ::std::vec::Vec<u8>) {{\n{json_body}\n  }}\n  fn write_binary(&self, out: &mut ::std::vec::Vec<u8>) {{\n{binary_body}\n  }}\n}}\n"
     )
 }
 
-fn named_field_init(fields: &[Field], ty: &str, source: &str) -> String {
-    let mut init = String::new();
-    for f in fields {
-        if f.skip {
-            init.push_str(&format!(
-                "{}: ::std::default::Default::default(),\n",
-                f.name
-            ));
-        } else if f.default {
-            init.push_str(&format!(
-                "{0}: match ::serde::obj_get({source}, \"{0}\") {{ Some(v) => ::serde::Deserialize::from_value(v)?, None => ::std::default::Default::default() }},\n",
-                f.name
-            ));
-        } else {
-            init.push_str(&format!(
-                "{0}: match ::serde::obj_get({source}, \"{0}\") {{ Some(v) => ::serde::Deserialize::from_value(v)?, None => return Err(::serde::DeError::missing(\"{0}\", \"{ty}\")) }},\n",
-                f.name
-            ));
-        }
-    }
-    init
-}
-
 /// A block expression that streams an object of named fields into
-/// `ctor { ... }` via `reader`, skipping unknown keys (first occurrence
-/// of a duplicate key wins, matching `obj_get` on the tree path).
+/// `ctor { ... }` via `reader`, skipping unknown keys (the first
+/// occurrence of a duplicate key wins).
 fn named_read_expr(fields: &[Field], ty: &str, ctor: &str) -> String {
     let live: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
     let mut s = String::from("{\n::serde::Reader::begin_object(reader)?;\n");
@@ -566,143 +494,88 @@ fn tuple_read_expr(ctor: &str, arity: usize, ty: &str) -> String {
 }
 
 fn gen_deserialize(shape: &Shape) -> String {
-    match shape {
+    let (name, read) = match shape {
         Shape::NamedStruct { name, fields } => {
-            let body = format!(
-                "let entries = value.as_obj().ok_or_else(|| ::serde::DeError::expected(\"object\", \"{name}\"))?;\nOk({name} {{\n{}\n}})",
-                named_field_init(fields, name, "entries")
-            );
-            let read = format!("Ok({})", named_read_expr(fields, name, name));
-            impl_deserialize(name, &body, &read)
+            (name, format!("Ok({})", named_read_expr(fields, name, name)))
         }
-        Shape::TupleStruct { name, arity } => {
-            let (body, read);
-            if *arity == 1 {
-                body = format!("Ok({name}(::serde::Deserialize::from_value(value)?))");
-                read = format!("Ok({name}(::serde::Deserialize::read_from(reader)?))");
-            } else {
-                let items: Vec<String> = (0..*arity)
-                    .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                    .collect();
-                body = format!(
-                    "let items = value.as_arr().ok_or_else(|| ::serde::DeError::expected(\"array\", \"{name}\"))?;\nif items.len() != {arity} {{ return Err(::serde::DeError::expected(\"array of {arity}\", \"{name}\")); }}\nOk({name}({}))",
-                    items.join(", ")
-                );
-                read = format!("Ok({})", tuple_read_expr(name, *arity, name));
-            }
-            impl_deserialize(name, &body, &read)
-        }
-        Shape::UnitStruct { name } => impl_deserialize(
+        Shape::TupleStruct { name, arity: 1 } => (
             name,
-            &format!("Ok({name})"),
-            &format!("::serde::Reader::skip_value(reader)?;\nOk({name})"),
+            format!("Ok({name}(::serde::Deserialize::read_from(reader)?))"),
         ),
-        Shape::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for v in variants {
-                match &v.kind {
-                    VariantKind::Unit => unit_arms
-                        .push_str(&format!("\"{v}\" => return Ok({name}::{v}),\n", v = v.name)),
-                    VariantKind::Tuple(arity) => {
-                        let build = if *arity == 1 {
-                            format!(
-                                "{name}::{}(::serde::Deserialize::from_value(inner)?)",
-                                v.name
-                            )
-                        } else {
-                            let items: Vec<String> = (0..*arity)
-                                .map(|i| format!("::serde::Deserialize::from_value(&items[{i}])?"))
-                                .collect();
-                            format!(
-                                "{{ let items = inner.as_arr().ok_or_else(|| ::serde::DeError::expected(\"array\", \"{name}\"))?;\nif items.len() != {arity} {{ return Err(::serde::DeError::expected(\"array of {arity}\", \"{name}\")); }}\n{name}::{}({}) }}",
-                                v.name,
-                                items.join(", ")
-                            )
-                        };
-                        tagged_arms
-                            .push_str(&format!("\"{v}\" => return Ok({build}),\n", v = v.name));
-                    }
-                    VariantKind::Struct(fields) => {
-                        tagged_arms.push_str(&format!(
-                            "\"{v}\" => {{ let entries = inner.as_obj().ok_or_else(|| ::serde::DeError::expected(\"object\", \"{name}\"))?;\nreturn Ok({name}::{v} {{\n{init}\n}}); }}\n",
-                            v = v.name,
-                            init = named_field_init(fields, name, "entries")
-                        ));
-                    }
-                }
-            }
-            let body = format!(
-                "if let Some(tag) = value.as_str() {{\n  match tag {{\n{unit_arms}    _ => {{}}\n  }}\n}}\nif let Some(entries) = value.as_obj() {{\n  if entries.len() == 1 {{\n    let (tag, inner) = &entries[0];\n    let _ = inner;\n    match tag.as_str() {{\n{tagged_arms}      _ => {{}}\n    }}\n  }}\n}}\nErr(::serde::DeError::expected(\"variant\", \"{name}\"))"
-            );
-
-            // Streaming mirror: a string is a unit variant, an object's
-            // single entry is a tagged variant; arms are only emitted
-            // for kinds the enum actually has.
-            let unit: Vec<&Variant> = variants
-                .iter()
-                .filter(|v| matches!(v.kind, VariantKind::Unit))
-                .collect();
-            let tagged: Vec<&Variant> = variants
-                .iter()
-                .filter(|v| !matches!(v.kind, VariantKind::Unit))
-                .collect();
-            let mut read = String::new();
-            if !unit.is_empty() {
-                read.push_str(
-                    "if ::serde::Reader::peek(reader)? == ::serde::Peek::Str {\nlet __tag = ::serde::Reader::read_str(reader)?;\nmatch &*__tag {\n",
-                );
-                for v in &unit {
-                    read.push_str(&format!("\"{0}\" => return Ok({name}::{0}),\n", v.name));
-                }
-                read.push_str("_ => {}\n}\n");
-                read.push_str(&format!(
-                    "return Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}}\n"
-                ));
-            }
-            if !tagged.is_empty() {
-                read.push_str(
-                    "if ::serde::Reader::peek(reader)? == ::serde::Peek::Obj {\n::serde::Reader::begin_object(reader)?;\n",
-                );
-                read.push_str(&format!(
-                    "let ::std::option::Option::Some(__tag) = ::serde::Reader::object_key(reader)? else {{\nreturn Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}};\n"
-                ));
-                read.push_str("let __value = match &*__tag {\n");
-                for v in &tagged {
-                    let expr = match &v.kind {
-                        VariantKind::Tuple(arity) if *arity == 1 => format!(
-                            "{name}::{}(::serde::Deserialize::read_from(reader)?)",
-                            v.name
-                        ),
-                        VariantKind::Tuple(arity) => {
-                            tuple_read_expr(&format!("{name}::{}", v.name), *arity, name)
-                        }
-                        VariantKind::Struct(fields) => {
-                            named_read_expr(fields, name, &format!("{name}::{}", v.name))
-                        }
-                        VariantKind::Unit => unreachable!("unit variants filtered out"),
-                    };
-                    read.push_str(&format!("\"{}\" => {expr},\n", v.name));
-                }
-                read.push_str(&format!(
-                    "_ => return Err(::serde::DeError::expected(\"variant\", \"{name}\")),\n}};\n"
-                ));
-                read.push_str(&format!(
-                    "if ::serde::Reader::object_key(reader)?.is_some() {{\nreturn Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}}\nreturn Ok(__value);\n}}\n"
-                ));
-            }
-            read.push_str(&format!(
-                "Err(::serde::DeError::expected(\"variant\", \"{name}\"))"
-            ));
-            impl_deserialize(name, &body, &read)
+        Shape::TupleStruct { name, arity } => {
+            (name, format!("Ok({})", tuple_read_expr(name, *arity, name)))
         }
-    }
+        Shape::UnitStruct { name } => (
+            name,
+            format!("::serde::Reader::skip_value(reader)?;\nOk({name})"),
+        ),
+        Shape::Enum { name, variants } => (name, enum_read_body(name, variants)),
+    };
+    format!(
+        "#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{\n  fn read_from<'de, __R: ::serde::Reader<'de>>(reader: &mut __R) -> ::std::result::Result<Self, ::serde::DeError> {{\n{read}\n  }}\n}}\n"
+    )
 }
 
-fn impl_deserialize(name: &str, body: &str, read_body: &str) -> String {
-    format!(
-        "#[automatically_derived]\nimpl ::serde::Deserialize for {name} {{\n  fn from_value(value: &::serde::Value) -> ::std::result::Result<Self, ::serde::DeError> {{\n{body}\n  }}\n  fn read_from<'de, __R: ::serde::Reader<'de>>(reader: &mut __R) -> ::std::result::Result<Self, ::serde::DeError> {{\n{read_body}\n  }}\n}}\n"
-    )
+/// The `read_from` body for an enum: a string is a unit variant, an
+/// object's single entry is a tagged variant; arms are only emitted for
+/// kinds the enum actually has.
+fn enum_read_body(name: &str, variants: &[Variant]) -> String {
+    let unit: Vec<&Variant> = variants
+        .iter()
+        .filter(|v| matches!(v.kind, VariantKind::Unit))
+        .collect();
+    let tagged: Vec<&Variant> = variants
+        .iter()
+        .filter(|v| !matches!(v.kind, VariantKind::Unit))
+        .collect();
+    let mut read = String::new();
+    if !unit.is_empty() {
+        read.push_str(
+            "if ::serde::Reader::peek(reader)? == ::serde::Peek::Str {\nlet __tag = ::serde::Reader::read_str(reader)?;\nmatch &*__tag {\n",
+        );
+        for v in &unit {
+            read.push_str(&format!("\"{0}\" => return Ok({name}::{0}),\n", v.name));
+        }
+        read.push_str("_ => {}\n}\n");
+        read.push_str(&format!(
+            "return Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}}\n"
+        ));
+    }
+    if !tagged.is_empty() {
+        read.push_str(
+            "if ::serde::Reader::peek(reader)? == ::serde::Peek::Obj {\n::serde::Reader::begin_object(reader)?;\n",
+        );
+        read.push_str(&format!(
+            "let ::std::option::Option::Some(__tag) = ::serde::Reader::object_key(reader)? else {{\nreturn Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}};\n"
+        ));
+        read.push_str("let __value = match &*__tag {\n");
+        for v in &tagged {
+            let expr = match &v.kind {
+                VariantKind::Tuple(1) => format!(
+                    "{name}::{}(::serde::Deserialize::read_from(reader)?)",
+                    v.name
+                ),
+                VariantKind::Tuple(arity) => {
+                    tuple_read_expr(&format!("{name}::{}", v.name), *arity, name)
+                }
+                VariantKind::Struct(fields) => {
+                    named_read_expr(fields, name, &format!("{name}::{}", v.name))
+                }
+                VariantKind::Unit => unreachable!("unit variants filtered out"),
+            };
+            read.push_str(&format!("\"{}\" => {expr},\n", v.name));
+        }
+        read.push_str(&format!(
+            "_ => return Err(::serde::DeError::expected(\"variant\", \"{name}\")),\n}};\n"
+        ));
+        read.push_str(&format!(
+            "if ::serde::Reader::object_key(reader)?.is_some() {{\nreturn Err(::serde::DeError::expected(\"variant\", \"{name}\"));\n}}\nreturn Ok(__value);\n}}\n"
+        ));
+    }
+    read.push_str(&format!(
+        "Err(::serde::DeError::expected(\"variant\", \"{name}\"))"
+    ));
+    read
 }
 
 /// Derives `serde::Serialize` (shim data model).

@@ -4,13 +4,13 @@
 //!
 //! The grammar (number formatting, escaping, `"NaN"`/`"inf"`/`"-inf"`
 //! markers for non-finite floats, surrogate-pair handling) lives in
-//! [`serde::json`]; this crate is a thin shell over it. Encoding
-//! streams through [`serde::Serialize::write_json`] and decoding
-//! through [`serde::json::JsonReader`], so neither direction
-//! materialises an intermediate [`Value`] for types with streaming
-//! impls, and parsing inherits the reader's [`serde::MAX_DEPTH`]
-//! nesting cap — a 100k-deep `[[[[…` body is a parse error, not a
-//! stack overflow.
+//! [`serde::json`]; this crate is a thin shell over it. Compact encoding
+//! streams through [`serde::Serialize::write_json`] and decoding through
+//! [`serde::json::JsonReader`], which caps nesting at
+//! [`serde::MAX_DEPTH`] — a 100k-deep `[[[[…` body is a parse error, not
+//! a stack overflow. Pretty output indents the [`Value`] that
+//! [`serde::Serialize::to_value`] reads back from the binary encoding,
+//! which keeps every f64 bit.
 
 use serde::json::JsonReader;
 use serde::{Deserialize, Serialize, Value};
@@ -57,8 +57,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
 }
 
 /// Parses JSON text into any shim-`Deserialize` type, streaming straight
-/// into the type (no intermediate [`Value`] for types with `read_from`
-/// impls).
+/// into the type.
 ///
 /// # Errors
 ///
@@ -80,9 +79,9 @@ pub fn parse_value_str(text: &str) -> Result<Value, Error> {
     from_str(text)
 }
 
-/// 2-space-indented rendering of a [`Value`] tree. Stays tree-based —
-/// pretty output is for humans (golden files, CLI dumps), not the wire —
-/// but shares the escape/number formatters with the compact path.
+/// 2-space-indented rendering of a [`Value`] tree. Pretty output is for
+/// humans (golden files, CLI dumps), not the wire, but it shares the
+/// escape/number formatters with the compact path.
 /// Depth is bounded by the tree that produced it, which decoding caps
 /// at [`serde::MAX_DEPTH`].
 fn write_pretty(v: &Value, out: &mut Vec<u8>, depth: usize) {
