@@ -492,6 +492,36 @@ pub struct DecisionTrace {
     pub top_candidate: Option<String>,
 }
 
+/// Difference below which two selection scores are a tie: absolute for
+/// scores up to 1, relative above. A gain is a difference of entropy
+/// sums of order 1, so its rounding is about `1e-15` in absolute terms
+/// however small the gain; real differences between candidates are many
+/// orders of magnitude above the tie width.
+const SCORE_TIE: f64 = 1e-12;
+
+/// Sorts candidates best-first by score, then orders each run of tied
+/// scores (within [`SCORE_TIE`] of the run's best) by model position, so
+/// the ranking depends on the scores alone: not on rounding, and not on
+/// the order earlier observations left the candidate list in.
+fn rank_by_score(candidates: &mut [ScoredAction]) {
+    candidates.sort_unstable_by(|a, b| b.score.total_cmp(&a.score));
+    let tied = |best: f64, score: f64| {
+        (best - score).abs() <= SCORE_TIE * best.abs().max(score.abs()).max(1.0)
+    };
+    let mut start = 0;
+    while start < candidates.len() {
+        let best = candidates[start].score;
+        let end = start
+            + 1
+            + candidates[start + 1..]
+                .iter()
+                .take_while(|c| tied(best, c.score))
+                .count();
+        candidates[start..end].sort_unstable_by_key(|c| c.var.index());
+        start = end;
+    }
+}
+
 /// The diagnosis's per-latent fault mass as ordered entries (the
 /// `BTreeMap` iterates in name order, which keeps traces deterministic).
 pub(crate) fn fault_mass_entries(diagnosis: &Diagnosis) -> Vec<(String, f64)> {
@@ -1345,8 +1375,11 @@ impl DiagnosisSession {
 
     /// Scores every unapplied candidate action under the active
     /// [`Strategy`] and [`CostModel`] and returns them sorted by
-    /// selection score, best first (ties and NaNs ordered by
-    /// `f64::total_cmp`).
+    /// selection score, best first. Scores that agree to `1e-12`
+    /// (relative to the larger above 1) are ties, ordered by model
+    /// position: symmetric measurements have equal values that differ
+    /// only in rounding, and which of them is measured first must not
+    /// hang on the last bit. NaNs sort by `f64::total_cmp`.
     ///
     /// The information value is the one-step expected gain over the
     /// latent blocks for [`Strategy::Myopic`] and
@@ -1439,7 +1472,7 @@ impl DiagnosisSession {
                 Strategy::CostWeighted | Strategy::Lookahead { .. } => slot.gain / slot.cost,
             };
         }
-        candidates.sort_unstable_by(|a, b| b.score.total_cmp(&a.score));
+        rank_by_score(candidates);
         Ok(candidates)
     }
 
@@ -1876,6 +1909,40 @@ impl DiagnosisSession {
 mod tests {
     use super::*;
     use crate::fixtures::toy_compiled_model;
+
+    /// Scores equal up to rounding rank by model position, whatever order
+    /// the candidate list arrives in; real differences still decide.
+    #[test]
+    fn tied_scores_rank_by_model_position() {
+        let scored = |index: usize, score: f64| ScoredAction {
+            action: Action::test(format!("v{index}")),
+            var: VarId::from_index(index),
+            probe: false,
+            gain: score,
+            cost: 1.0,
+            score,
+        };
+        let mut candidates = vec![
+            scored(4, 0.5 - 2e-16),
+            scored(7, 0.3),
+            scored(2, 0.5),
+            scored(9, 0.5 + 1e-16),
+            scored(5, 4.6e-17),
+            scored(3, 0.0),
+            scored(8, 0.5 - 1e-9),
+        ];
+        let want = ["v2", "v4", "v9", "v8", "v7", "v3", "v5"];
+        for rotation in 0..candidates.len() {
+            candidates.rotate_left(rotation);
+            rank_by_score(&mut candidates);
+            let got: Vec<&str> = candidates.iter().map(ScoredAction::name).collect();
+            assert_eq!(got, want, "rotation {rotation}");
+        }
+        // Above 1 the tie width is relative.
+        let mut wide = vec![scored(6, 1000.0), scored(1, 1000.0 - 1e-10)];
+        rank_by_score(&mut wide);
+        assert_eq!(wide[0].name(), "v1");
+    }
 
     fn assert_send_sync<T: Send + Sync>() {}
 
