@@ -52,6 +52,12 @@ pub enum Error {
     /// A propagation workspace was read as calibrated but holds no
     /// calibrated beliefs.
     Uncalibrated,
+    /// An absorption plan is not an outward walk of the tree from the
+    /// finding's home clique.
+    InvalidPlan(String),
+    /// A read of this variable from an absorbed view whose plan does not
+    /// reach the variable's home clique.
+    NotOnPlan(String),
     /// An iterative algorithm failed to converge.
     NotConverged {
         /// The algorithm that gave up.
@@ -108,6 +114,10 @@ impl fmt::Display for Error {
             Error::Uncalibrated => {
                 write!(f, "workspace holds no calibrated beliefs; propagate first")
             }
+            Error::InvalidPlan(reason) => write!(f, "invalid absorption plan: {reason}"),
+            Error::NotOnPlan(name) => {
+                write!(f, "variable `{name}` is off the absorption plan")
+            }
             Error::NotConverged { what, iterations } => {
                 write!(f, "{what} did not converge within {iterations} iterations")
             }
@@ -158,6 +168,8 @@ mod tests {
             Error::DuplicateInScope("s".into()),
             Error::ImpossibleEvidence,
             Error::Uncalibrated,
+            Error::InvalidPlan("step 0 -> 1".into()),
+            Error::NotOnPlan("r".into()),
             Error::NotConverged {
                 what: "EM".into(),
                 iterations: 10,

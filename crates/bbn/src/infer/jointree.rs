@@ -29,6 +29,24 @@
 //! cliques, runs the same collect loop and returns `ln P(e, masks)`,
 //! skipping the distribute that a likelihood never reads. Candidate
 //! deduction asks its exoneration queries through it.
+//!
+//! # Absorbing one finding into a calibrated tree
+//!
+//! [`JunctionTree::absorb_in`] answers "what would these posteriors be if
+//! `m` read state `s`?" without propagating again. It starts from a
+//! workspace already calibrated on the evidence `e`, copies only the
+//! cliques an [`JunctionTree::outward_plan`] names, retains `m = s` in
+//! `m`'s home clique and passes Hugin updates outward along the plan
+//! (`new / old` per separator, `0/0 = 0`). The cliques it reaches then
+//! hold `P(C | e, m = s)` up to one common scale, which posterior reads
+//! normalise away; a clique off the plan is never read.
+//!
+//! # Work counters
+//!
+//! Two per-thread counters let tests and benches prove what a hot loop
+//! does: [`compile_count`] (structural compilations) and [`work_counts`]
+//! (full propagations, collect-only queries, absorptions, and the
+//! separator messages they pass).
 
 use crate::error::{Error, Result};
 use crate::evidence::Evidence;
@@ -52,6 +70,8 @@ thread_local! {
     /// loop to *prove* no stray recompilation hides inside it — see
     /// [`compile_count`].
     static COMPILE_CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread tallies of query work — see [`work_counts`].
+    static WORK: Cell<WorkCounts> = const { Cell::new(WorkCounts::ZERO) };
 }
 
 /// The number of junction-tree compilations performed *by the calling
@@ -64,6 +84,70 @@ thread_local! {
 /// process.
 pub fn compile_count() -> u64 {
     COMPILE_CALLS.with(Cell::get)
+}
+
+/// Junction-tree query work done by one thread, as read by
+/// [`work_counts`]. Every field counts calls that passed validation and
+/// started table arithmetic, whether or not they then found the evidence
+/// impossible.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Full propagations (collect plus distribute):
+    /// [`JunctionTree::propagate_in`] and
+    /// [`JunctionTree::propagate_hypotheticals_in`].
+    pub propagations: u64,
+    /// Collect-only likelihood queries
+    /// ([`JunctionTree::log_likelihood_in`]).
+    pub collect_queries: u64,
+    /// Outward absorptions ([`JunctionTree::absorb_in`]).
+    pub absorptions: u64,
+    /// Separator messages those calls passed: two per tree edge for a
+    /// full propagation, one per edge for a collect, one per plan step
+    /// for an absorption.
+    pub messages: u64,
+}
+
+impl WorkCounts {
+    const ZERO: WorkCounts = WorkCounts {
+        propagations: 0,
+        collect_queries: 0,
+        absorptions: 0,
+        messages: 0,
+    };
+
+    /// The work done between the snapshot `earlier` and `self` (both
+    /// read on the same thread).
+    #[must_use]
+    pub fn since(self, earlier: WorkCounts) -> WorkCounts {
+        WorkCounts {
+            propagations: self.propagations - earlier.propagations,
+            collect_queries: self.collect_queries - earlier.collect_queries,
+            absorptions: self.absorptions - earlier.absorptions,
+            messages: self.messages - earlier.messages,
+        }
+    }
+}
+
+/// The junction-tree query work performed *by the calling thread* so
+/// far. Like [`compile_count`], take a snapshot around a loop and
+/// compare with [`WorkCounts::since`]; the counters are thread-local so
+/// concurrent tests cannot disturb each other's tallies. Each query
+/// updates them once, with one thread-local read and write.
+pub fn work_counts() -> WorkCounts {
+    WORK.with(Cell::get)
+}
+
+/// Adds one query's work to the calling thread's [`work_counts`].
+fn tally(propagations: u64, collect_queries: u64, absorptions: u64, messages: usize) {
+    WORK.with(|cell| {
+        let w = cell.get();
+        cell.set(WorkCounts {
+            propagations: w.propagations + propagations,
+            collect_queries: w.collect_queries + collect_queries,
+            absorptions: w.absorptions + absorptions,
+            messages: w.messages + messages as u64,
+        });
+    });
 }
 
 #[derive(Debug, Clone)]
@@ -422,6 +506,7 @@ impl JunctionTree {
                 .iter()
                 .map(|e| vec![0.0; e.sep_len])
                 .collect(),
+            on_plan: vec![false; self.sched.cliques.len()],
             log_likelihood: 0.0,
             calibrated: false,
         }
@@ -446,45 +531,19 @@ impl JunctionTree {
         Ok(CalibratedView { tree: self, ws })
     }
 
-    /// [`JunctionTree::propagate_in`] with one extra *hypothetical* hard
-    /// finding `var = state` layered on top of `evidence`, without touching
-    /// the evidence set. This is the inner query of value-of-information
-    /// scoring ("what would the posteriors look like if this unmeasured
-    /// block read state `s`?"), which issues dozens of propagations per
-    /// decision — mutating and restoring an [`Evidence`] per query would
-    /// churn its tree map, while this path stays allocation-free.
-    ///
-    /// `var` must not already carry a finding in `evidence`: stacking a
-    /// second hard state on an observed variable either zeroes the belief
-    /// (different states) or silently duplicates (same state), so it is
-    /// rejected up front.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidEvidence`] for an out-of-range hypothetical
-    /// or one on an already-observed variable, plus all
-    /// [`JunctionTree::propagate_in`] errors.
-    pub fn propagate_hypothetical_in<'t, 'w>(
-        &'t self,
-        ws: &'w mut PropagationWorkspace,
-        evidence: &Evidence,
-        var: VarId,
-        state: usize,
-    ) -> Result<CalibratedView<'t, 'w>> {
-        self.propagate_hypotheticals_in(ws, evidence, &[(var, state)])
-    }
-
-    /// [`JunctionTree::propagate_hypothetical_in`] generalised to a whole
-    /// *stack* of hypothetical hard findings layered on top of `evidence`.
-    /// Depth-`d` lookahead planning conditions on the `d − 1` measurements
-    /// already taken along the expectimax path plus the candidate being
-    /// scored, so it needs several simultaneous hypotheticals without
-    /// mutating the evidence set between the dozens of propagations a
-    /// single decision issues.
+    /// [`JunctionTree::propagate_in`] with a *stack* of hypothetical hard
+    /// findings layered on top of `evidence`, without touching the
+    /// evidence set. Depth-`d` lookahead planning conditions on the
+    /// `d − 1` measurements already taken along the expectimax path plus
+    /// the candidate being scored, so it needs several simultaneous
+    /// hypotheticals without mutating (and re-allocating) the evidence
+    /// set between the dozens of propagations a single decision issues.
     ///
     /// The findings must name distinct variables, none of which `evidence`
-    /// already pins (the same no-stacking rule as the single-finding
-    /// path). An empty slice is exactly [`JunctionTree::propagate_in`].
+    /// already pins: stacking a second hard state on an observed variable
+    /// either zeroes the belief (different states) or silently duplicates
+    /// (same state), so it is rejected up front. An empty slice is
+    /// exactly [`JunctionTree::propagate_in`].
     ///
     /// # Errors
     ///
@@ -531,6 +590,7 @@ impl JunctionTree {
     /// is written (cheap: length comparisons only).
     fn check_workspace(&self, ws: &PropagationWorkspace) -> Result<()> {
         let beliefs_fit = ws.beliefs.len() == self.sched.cliques.len()
+            && ws.on_plan.len() == self.sched.cliques.len()
             && ws
                 .beliefs
                 .iter()
@@ -562,6 +622,7 @@ impl JunctionTree {
         hypotheticals: &[(VarId, usize)],
     ) -> Result<()> {
         self.load(ws, evidence, hypotheticals)?;
+        tally(1, 0, 0, 2 * self.sched.collect_schedule.len());
         ws.log_likelihood = self.collect(ws)?;
         self.distribute(ws)?;
         ws.calibrated = true;
@@ -732,11 +793,178 @@ impl JunctionTree {
             }
         }
         self.load(ws, evidence, &[])?;
+        tally(0, 1, 0, self.sched.collect_schedule.len());
         for &(var, mask) in masks {
             let slot = self.sched.slots[var.index()];
             scale_axis_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, mask);
         }
         self.collect(ws)
+    }
+
+    /// The outward plan for absorbing a finding on `from` and reading
+    /// `targets`: the edges of the smallest subtree joining `from`'s home
+    /// clique to every target's home clique, as `[from clique, to clique,
+    /// edge]` steps in breadth-first order away from `from`. Every step
+    /// leaves a clique the plan already reached, so
+    /// [`JunctionTree::absorb_in`] can pass the messages in order.
+    ///
+    /// This is structural work (it allocates); callers compute their
+    /// plans once per compiled tree and reuse them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownVariable`] for `from` or a target outside
+    /// the network.
+    pub fn outward_plan(&self, from: VarId, targets: &[VarId]) -> Result<Vec<[u32; 3]>> {
+        let n = self.net.var_count();
+        if let Some(v) = std::iter::once(&from)
+            .chain(targets)
+            .find(|v| v.index() >= n)
+        {
+            return Err(Error::UnknownVariable(format!("{v}")));
+        }
+        let cliques = self.sched.cliques.len();
+        let mut neighbors: Vec<Vec<(usize, usize)>> = vec![Vec::new(); cliques];
+        for (idx, edge) in self.sched.edges.iter().enumerate() {
+            neighbors[edge.a].push((edge.b, idx));
+            neighbors[edge.b].push((edge.a, idx));
+        }
+        // Breadth-first from the root, remembering how each clique was
+        // reached.
+        let root = self.sched.home_clique[from.index()];
+        let mut reached_by: Vec<Option<(usize, usize)>> = vec![None; cliques];
+        let mut visited = vec![false; cliques];
+        visited[root] = true;
+        let mut order = vec![root];
+        let mut head = 0;
+        while head < order.len() {
+            let c = order[head];
+            head += 1;
+            for &(nb, edge) in &neighbors[c] {
+                if !visited[nb] {
+                    visited[nb] = true;
+                    reached_by[nb] = Some((c, edge));
+                    order.push(nb);
+                }
+            }
+        }
+        // Keep the cliques on some target's path back to the root.
+        let mut needed = vec![false; cliques];
+        for target in targets {
+            let mut c = self.sched.home_clique[target.index()];
+            while !needed[c] {
+                needed[c] = true;
+                match reached_by[c] {
+                    Some((parent, _)) => c = parent,
+                    None => break,
+                }
+            }
+        }
+        let step = |c: usize| {
+            let (parent, edge) = reached_by[c].expect("non-root cliques have a parent");
+            [parent, c, edge].map(|i| u32::try_from(i).expect("tree sizes fit u32"))
+        };
+        Ok(order
+            .into_iter()
+            .skip(1)
+            .filter(|&c| needed[c])
+            .map(step)
+            .collect())
+    }
+
+    /// Absorbs the hypothetical finding `var = state` into a copy of the
+    /// calibrated `base`, along `plan` (from
+    /// [`JunctionTree::outward_plan`] with `from = var`): copies the
+    /// plan's cliques from `base` into `ws`, retains `state` in `var`'s
+    /// home clique, and passes one Hugin update per plan step, `new /
+    /// base message` with `0/0 = 0`. There is no collect and no
+    /// normalisation: the reached cliques hold `P(C | e, var = state)`
+    /// scaled by `P(var = state | e)`, and posterior reads normalise.
+    ///
+    /// The returned view reads only cliques the plan reached; a read of
+    /// any other variable is [`Error::NotOnPlan`], never stale data. `ws`
+    /// is left uncalibrated. `var` should carry no finding in `base`'s
+    /// evidence: retaining another state of an observed variable leaves
+    /// no mass, and reads then report [`Error::ImpossibleEvidence`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::ShapeMismatch`] when `base` or `ws` is shaped for
+    /// another tree, [`Error::Uncalibrated`] when `base` holds no
+    /// calibrated beliefs, [`Error::InvalidEvidence`] for an unknown
+    /// variable or out-of-range state, and [`Error::InvalidPlan`] when
+    /// `plan` is not an outward walk of this tree from `var`'s home
+    /// clique. On error `ws`'s beliefs are untouched.
+    pub fn absorb_in<'t, 'w>(
+        &'t self,
+        base: &PropagationWorkspace,
+        ws: &'w mut PropagationWorkspace,
+        plan: &[[u32; 3]],
+        (var, state): (VarId, usize),
+    ) -> Result<AbsorbedView<'t, 'w>> {
+        self.check_workspace(base)?;
+        self.check_workspace(ws)?;
+        if !base.calibrated {
+            return Err(Error::Uncalibrated);
+        }
+        if var.index() >= self.net.var_count() {
+            return Err(Error::InvalidEvidence {
+                variable: format!("{var}"),
+                reason: "not in network".into(),
+            });
+        }
+        let slot = self.sched.slots[var.index()];
+        if state >= slot.card {
+            return Err(Error::InvalidEvidence {
+                variable: self.net.name(var).into(),
+                reason: format!("state {state} out of range {}", slot.card),
+            });
+        }
+        // Validate the plan while marking the cliques it reaches.
+        ws.on_plan.fill(false);
+        ws.on_plan[slot.clique] = true;
+        for &[from, to, edge] in plan {
+            let (from, to, edge) = (from as usize, to as usize, edge as usize);
+            let joins = self
+                .sched
+                .edges
+                .get(edge)
+                .is_some_and(|e| (e.a == from && e.b == to) || (e.a == to && e.b == from));
+            if !joins || !ws.on_plan[from] || ws.on_plan[to] {
+                return Err(Error::InvalidPlan(format!(
+                    "step {from} -> {to} over edge {edge} does not walk outward from clique {}",
+                    slot.clique
+                )));
+            }
+            ws.on_plan[to] = true;
+        }
+        tally(0, 0, 1, plan.len());
+        ws.calibrated = false;
+        ws.beliefs[slot.clique].copy_from_slice(&base.beliefs[slot.clique]);
+        retain_state_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, state);
+        for &[from, to, edge] in plan {
+            let (from, to, edge) = (from as usize, to as usize, edge as usize);
+            let geometry = &self.sched.edges[edge];
+            ws.beliefs[to].copy_from_slice(&base.beliefs[to]);
+            let update = &mut ws.scratch[edge];
+            update.fill(0.0);
+            marginalize_kernel(
+                &self.sched.cliques[from].cards,
+                &ws.beliefs[from],
+                geometry.strides_for(from),
+                update,
+            );
+            for (u, &old) in update.iter_mut().zip(&base.messages[edge]) {
+                *u = if old == 0.0 { 0.0 } else { *u / old };
+            }
+            mul_broadcast_kernel(
+                &self.sched.cliques[to].cards,
+                &mut ws.beliefs[to],
+                &ws.scratch[edge],
+                geometry.strides_for(to),
+            );
+        }
+        Ok(AbsorbedView { tree: self, ws })
     }
 
     /// The read view over `ws` as the last successful
@@ -898,6 +1126,9 @@ pub struct PropagationWorkspace {
     beliefs: Vec<Vec<f64>>,
     messages: Vec<Vec<f64>>,
     scratch: Vec<Vec<f64>>,
+    /// The cliques the last [`JunctionTree::absorb_in`] reached: the only
+    /// ones an [`AbsorbedView`] may read.
+    on_plan: Vec<bool>,
     log_likelihood: f64,
     calibrated: bool,
 }
@@ -931,26 +1162,7 @@ impl CalibratedView<'_, '_> {
     /// Returns [`Error::UnknownVariable`] for out-of-range handles and
     /// [`Error::ShapeMismatch`] for a wrong-length buffer.
     pub fn posterior_into(&self, var: VarId, out: &mut [f64]) -> Result<()> {
-        if var.index() >= self.tree.net.var_count() {
-            return Err(Error::UnknownVariable(format!("{var}")));
-        }
-        let slot = self.tree.sched.slots[var.index()];
-        if out.len() != slot.card {
-            return Err(Error::ShapeMismatch {
-                expected: slot.card,
-                actual: out.len(),
-            });
-        }
-        out.fill(0.0);
-        axis_marginal_kernel(&self.ws.beliefs[slot.clique], slot.stride, slot.card, out);
-        let z: f64 = out.iter().sum();
-        if z <= 0.0 || !z.is_finite() {
-            return Err(Error::ImpossibleEvidence);
-        }
-        for v in out.iter_mut() {
-            *v /= z;
-        }
-        Ok(())
+        read_posterior(self.tree, self.ws, var, out)
     }
 
     /// Posterior distribution of one variable.
@@ -994,19 +1206,7 @@ impl CalibratedView<'_, '_> {
     ///
     /// Same as [`CalibratedView::posterior_into`].
     pub fn posterior_entropy(&self, var: VarId) -> Result<f64> {
-        if var.index() >= self.tree.net.var_count() {
-            return Err(Error::UnknownVariable(format!("{var}")));
-        }
-        let card = self.tree.sched.slots[var.index()].card;
-        let mut stack = [0.0f64; 32];
-        if card <= stack.len() {
-            self.posterior_into(var, &mut stack[..card])?;
-            Ok(entropy_nats(&stack[..card]))
-        } else {
-            let mut heap = vec![0.0; card];
-            self.posterior_into(var, &mut heap)?;
-            Ok(entropy_nats(&heap))
-        }
+        read_entropy(self.tree, self.ws, var)
     }
 
     /// Posterior marginals for every variable.
@@ -1048,6 +1248,101 @@ impl CalibratedView<'_, '_> {
         );
         out.normalize()?;
         Ok(out)
+    }
+}
+
+/// Writes `var`'s normalised marginal, read from its home clique in `ws`,
+/// into `out`: the one posterior read behind [`CalibratedView`] and
+/// [`AbsorbedView`].
+fn read_posterior(
+    tree: &JunctionTree,
+    ws: &PropagationWorkspace,
+    var: VarId,
+    out: &mut [f64],
+) -> Result<()> {
+    if var.index() >= tree.net.var_count() {
+        return Err(Error::UnknownVariable(format!("{var}")));
+    }
+    let slot = tree.sched.slots[var.index()];
+    if out.len() != slot.card {
+        return Err(Error::ShapeMismatch {
+            expected: slot.card,
+            actual: out.len(),
+        });
+    }
+    out.fill(0.0);
+    axis_marginal_kernel(&ws.beliefs[slot.clique], slot.stride, slot.card, out);
+    let z: f64 = out.iter().sum();
+    if z <= 0.0 || !z.is_finite() {
+        return Err(Error::ImpossibleEvidence);
+    }
+    for v in out.iter_mut() {
+        *v /= z;
+    }
+    Ok(())
+}
+
+/// `H(var)` in nats from [`read_posterior`]; the marginal lives in a stack
+/// buffer for cardinalities up to 32 (every model in this workspace), so
+/// the read does not allocate.
+fn read_entropy(tree: &JunctionTree, ws: &PropagationWorkspace, var: VarId) -> Result<f64> {
+    if var.index() >= tree.net.var_count() {
+        return Err(Error::UnknownVariable(format!("{var}")));
+    }
+    let card = tree.sched.slots[var.index()].card;
+    let mut stack = [0.0f64; 32];
+    if card <= stack.len() {
+        read_posterior(tree, ws, var, &mut stack[..card])?;
+        Ok(entropy_nats(&stack[..card]))
+    } else {
+        let mut heap = vec![0.0; card];
+        read_posterior(tree, ws, var, &mut heap)?;
+        Ok(entropy_nats(&heap))
+    }
+}
+
+/// A read view over the cliques one [`JunctionTree::absorb_in`] reached:
+/// posteriors given the base evidence plus the absorbed finding. Reads
+/// of a variable whose home clique is off the plan fail with
+/// [`Error::NotOnPlan`].
+#[derive(Debug)]
+pub struct AbsorbedView<'t, 'w> {
+    tree: &'t JunctionTree,
+    ws: &'w PropagationWorkspace,
+}
+
+impl AbsorbedView<'_, '_> {
+    /// Rejects reads the absorption did not update.
+    fn check_on_plan(&self, var: VarId) -> Result<()> {
+        if var.index() >= self.tree.net.var_count() {
+            return Err(Error::UnknownVariable(format!("{var}")));
+        }
+        if !self.ws.on_plan[self.tree.sched.slots[var.index()].clique] {
+            return Err(Error::NotOnPlan(self.tree.net.name(var).into()));
+        }
+        Ok(())
+    }
+
+    /// Writes the posterior of `var` into `out`, like
+    /// [`CalibratedView::posterior_into`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::NotOnPlan`] for a variable off the plan, plus the
+    /// [`CalibratedView::posterior_into`] errors.
+    pub fn posterior_into(&self, var: VarId, out: &mut [f64]) -> Result<()> {
+        self.check_on_plan(var)?;
+        read_posterior(self.tree, self.ws, var, out)
+    }
+
+    /// Shannon entropy of `var`'s posterior, in nats, without allocating.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`AbsorbedView::posterior_into`].
+    pub fn posterior_entropy(&self, var: VarId) -> Result<f64> {
+        self.check_on_plan(var)?;
+        read_entropy(self.tree, self.ws, var)
     }
 }
 
@@ -1569,7 +1864,7 @@ mod tests {
         let mut ws = jt.make_workspace();
         for state in 0..2 {
             let hyp = jt
-                .propagate_hypothetical_in(&mut ws, &base, v0, state)
+                .propagate_hypotheticals_in(&mut ws, &base, &[(v0, state)])
                 .unwrap()
                 .all_posteriors()
                 .unwrap();
@@ -1584,18 +1879,247 @@ mod tests {
         // The base evidence set is untouched.
         assert_eq!(base.state_of(v0), None);
         // Hypotheticals on observed or bogus variables are rejected.
+        for bad in [(v6, 0), (VarId::from_index(99), 0), (v0, 7)] {
+            assert!(matches!(
+                jt.propagate_hypotheticals_in(&mut ws, &base, &[bad]),
+                Err(Error::InvalidEvidence { .. })
+            ));
+        }
+    }
+
+    /// Every base evidence set the absorption tests start from: none,
+    /// hard, hard plus soft.
+    fn absorb_bases(net: &Network) -> Vec<Evidence> {
+        let v1 = net.var("v1").unwrap();
+        let v5 = net.var("v5").unwrap();
+        let v6 = net.var("v6").unwrap();
+        let mut hard = Evidence::new();
+        hard.observe(v6, 1);
+        let mut soft = hard.clone();
+        soft.observe_likelihood(v5, vec![0.2, 1.0, 0.5]);
+        soft.observe_likelihood(v1, vec![0.0, 2.0, 1.0]);
+        vec![Evidence::new(), hard, soft]
+    }
+
+    #[test]
+    fn absorption_matches_full_hypothetical_propagation() {
+        let net = seven_var_net();
+        let jt = JunctionTree::compile(&net).unwrap();
+        let all: Vec<VarId> = net.variables().collect();
+        let mut base_ws = jt.make_workspace();
+        let mut hyp_ws = jt.make_workspace();
+        let mut ws = jt.make_workspace();
+        let mut checked = 0;
+        for evidence in absorb_bases(&net) {
+            jt.propagate_in(&mut base_ws, &evidence).unwrap();
+            for &m in &all {
+                if evidence.mentions(m) {
+                    continue;
+                }
+                let plan = jt.outward_plan(m, &all).unwrap();
+                assert_eq!(plan.len(), jt.sched.edges.len(), "every clique is a target");
+                for state in 0..net.card(m) {
+                    let Ok(full) =
+                        jt.propagate_hypotheticals_in(&mut hyp_ws, &evidence, &[(m, state)])
+                    else {
+                        continue;
+                    };
+                    let absorbed = jt.absorb_in(&base_ws, &mut ws, &plan, (m, state)).unwrap();
+                    for &v in &all {
+                        let want = full.posterior(v).unwrap();
+                        let mut got = vec![0.0; net.card(v)];
+                        absorbed.posterior_into(v, &mut got).unwrap();
+                        for (a, b) in want.iter().zip(&got) {
+                            assert!((a - b).abs() <= 1e-12, "{m}={state}, {v}: {a} vs {b}");
+                        }
+                        let h = absorbed.posterior_entropy(v).unwrap();
+                        assert!((h - full.posterior_entropy(v).unwrap()).abs() <= 1e-12);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} reads compared");
+        assert!(
+            !ws.is_calibrated(),
+            "an absorption never calibrates its workspace"
+        );
+    }
+
+    #[test]
+    fn pruned_plans_refuse_reads_off_the_plan() {
+        let net = seven_var_net();
+        let jt = JunctionTree::compile(&net).unwrap();
+        let v0 = net.var("v0").unwrap();
+        let v2 = net.var("v2").unwrap();
+        let v5 = net.var("v5").unwrap();
+        let v6 = net.var("v6").unwrap();
+        let mut e = Evidence::new();
+        e.observe(v6, 1);
+        let mut base_ws = jt.make_workspace();
+        jt.propagate_in(&mut base_ws, &e).unwrap();
+        let mut full_ws = jt.make_workspace();
+        let mut ws = jt.make_workspace();
+        // Read everything once, so a later pruned plan finds stale cliques
+        // in the reused workspace.
+        let everything: Vec<VarId> = net.variables().collect();
+        let plan = jt.outward_plan(v0, &everything).unwrap();
+        jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 0)).unwrap();
+
+        let plan = jt.outward_plan(v0, &[v2]).unwrap();
+        assert!(plan.len() < jt.sched.edges.len(), "{plan:?} is pruned");
+        let absorbed = jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 1)).unwrap();
+        let full = jt
+            .propagate_hypotheticals_in(&mut full_ws, &e, &[(v0, 1)])
+            .unwrap();
+        for v in [v0, v2] {
+            let (want, got) = (
+                full.posterior_entropy(v).unwrap(),
+                absorbed.posterior_entropy(v).unwrap(),
+            );
+            assert!((want - got).abs() <= 1e-12);
+        }
+        let home = |v: VarId| jt.sched.home_clique[v.index()];
+        let on_plan = |c: usize| c == home(v0) || plan.iter().any(|step| step[1] as usize == c);
+        let off: Vec<VarId> = everything
+            .iter()
+            .copied()
+            .filter(|&v| !on_plan(home(v)))
+            .collect();
+        assert!(off.contains(&v5), "v5 sits beyond the v0–v2 path");
+        for v in off {
+            assert!(matches!(
+                absorbed.posterior_entropy(v),
+                Err(Error::NotOnPlan(_))
+            ));
+            let mut out = vec![0.0; net.card(v)];
+            assert!(matches!(
+                absorbed.posterior_into(v, &mut out),
+                Err(Error::NotOnPlan(_))
+            ));
+        }
         assert!(matches!(
-            jt.propagate_hypothetical_in(&mut ws, &base, v6, 0),
-            Err(Error::InvalidEvidence { .. })
+            absorbed.posterior_entropy(VarId::from_index(99)),
+            Err(Error::UnknownVariable(_))
+        ));
+        // A plan with no targets reaches the home clique alone.
+        let plan = jt.outward_plan(v0, &[]).unwrap();
+        assert!(plan.is_empty());
+        let absorbed = jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 1)).unwrap();
+        assert_eq!(absorbed.posterior_entropy(v0).unwrap(), 0.0);
+        assert!(jt.outward_plan(VarId::from_index(99), &[]).is_err());
+        assert!(jt.outward_plan(v0, &[VarId::from_index(99)]).is_err());
+    }
+
+    #[test]
+    fn absorption_rejects_bad_bases_states_and_plans() {
+        let net = seven_var_net();
+        let jt = JunctionTree::compile(&net).unwrap();
+        let other = JunctionTree::compile(&sprinkler()).unwrap();
+        let v0 = net.var("v0").unwrap();
+        let v2 = net.var("v2").unwrap();
+        let everything: Vec<VarId> = net.variables().collect();
+        let plan = jt.outward_plan(v0, &everything).unwrap();
+        let mut base_ws = jt.make_workspace();
+        let mut ws = jt.make_workspace();
+        assert!(matches!(
+            jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 0)),
+            Err(Error::Uncalibrated)
+        ));
+        jt.propagate_in(&mut base_ws, &Evidence::new()).unwrap();
+        let mut foreign = other.make_workspace();
+        other.propagate_in(&mut foreign, &Evidence::new()).unwrap();
+        assert!(matches!(
+            jt.absorb_in(&foreign, &mut ws, &plan, (v0, 0)),
+            Err(Error::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            jt.propagate_hypothetical_in(&mut ws, &base, VarId::from_index(99), 0),
-            Err(Error::InvalidEvidence { .. })
+            jt.absorb_in(&base_ws, &mut foreign, &plan, (v0, 0)),
+            Err(Error::ShapeMismatch { .. })
         ));
-        assert!(matches!(
-            jt.propagate_hypothetical_in(&mut ws, &base, v0, 7),
-            Err(Error::InvalidEvidence { .. })
-        ));
+        for bad in [(v0, 2), (VarId::from_index(99), 0)] {
+            assert!(matches!(
+                jt.absorb_in(&base_ws, &mut ws, &plan, bad),
+                Err(Error::InvalidEvidence { .. })
+            ));
+        }
+        // A plan built for another finding, a reordered plan, a step over
+        // the wrong edge and an out-of-range edge are all refused.
+        let foreign_plan = jt.outward_plan(v2, &everything).unwrap();
+        let mut reversed = plan.clone();
+        reversed.reverse();
+        let mut wrong_edge = plan.clone();
+        wrong_edge[0][2] = (wrong_edge[0][2] + 1) % plan.len() as u32;
+        let mut out_of_range = plan.clone();
+        out_of_range[0][2] = 999;
+        let root_differs = jt.sched.home_clique[v0.index()] != jt.sched.home_clique[v2.index()];
+        let mut bad_plans = vec![reversed, wrong_edge, out_of_range];
+        if root_differs {
+            bad_plans.push(foreign_plan);
+        }
+        jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 1)).unwrap();
+        let want = jt
+            .absorb_in(&base_ws, &mut ws, &plan, (v0, 1))
+            .unwrap()
+            .posterior_entropy(v2)
+            .unwrap();
+        for bad in &bad_plans {
+            assert!(matches!(
+                jt.absorb_in(&base_ws, &mut ws, bad, (v0, 1)),
+                Err(Error::InvalidPlan(_))
+            ));
+        }
+        // The base is untouched and the workspace reusable after errors.
+        let again = jt
+            .absorb_in(&base_ws, &mut ws, &plan, (v0, 1))
+            .unwrap()
+            .posterior_entropy(v2)
+            .unwrap();
+        assert_eq!(again.to_bits(), want.to_bits());
+        assert!(base_ws.is_calibrated());
+    }
+
+    #[test]
+    fn work_counters_tally_each_kind_of_query() {
+        let net = seven_var_net();
+        let jt = JunctionTree::compile(&net).unwrap();
+        let edges = jt.sched.edges.len() as u64;
+        let v0 = net.var("v0").unwrap();
+        let v6 = net.var("v6").unwrap();
+        let mut e = Evidence::new();
+        e.observe(v6, 1);
+        let mut base_ws = jt.make_workspace();
+        let mut ws = jt.make_workspace();
+        let everything: Vec<VarId> = net.variables().collect();
+        let plan = jt.outward_plan(v0, &everything).unwrap();
+
+        let before = work_counts();
+        jt.propagate_in(&mut base_ws, &e).unwrap();
+        jt.propagate_hypotheticals_in(&mut ws, &e, &[(v0, 1)])
+            .unwrap();
+        jt.log_likelihood_in(&mut ws, &e, &[]).unwrap();
+        jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 0)).unwrap();
+        // Calls refused before any arithmetic count nothing.
+        assert!(jt
+            .propagate_in(&mut ws, &{
+                let mut bad = Evidence::new();
+                bad.observe(v0, 9);
+                bad
+            })
+            .is_err());
+        assert!(jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 9)).is_err());
+        assert_eq!(
+            work_counts().since(before),
+            WorkCounts {
+                propagations: 2,
+                collect_queries: 1,
+                absorptions: 1,
+                messages: 2 * 2 * edges + edges + plan.len() as u64,
+            }
+        );
+        // Other threads keep their own tallies.
+        let other = std::thread::spawn(work_counts).join().unwrap();
+        assert_eq!(other, WorkCounts::default());
     }
 
     #[test]

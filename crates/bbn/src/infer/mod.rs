@@ -11,8 +11,8 @@ mod sampling;
 
 pub use elimination::VariableElimination;
 pub use jointree::{
-    compile_count as jointree_compile_count, CalibratedTree, CalibratedView, JunctionTree,
-    PropagationWorkspace,
+    compile_count as jointree_compile_count, work_counts as jointree_work_counts, AbsorbedView,
+    CalibratedTree, CalibratedView, JunctionTree, PropagationWorkspace, WorkCounts,
 };
 pub use sampling::{forward_sample, forward_sample_cases};
 

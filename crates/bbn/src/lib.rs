@@ -55,8 +55,8 @@ pub use evidence::Evidence;
 pub use factor::Factor;
 pub use infer::{
     enumerate_posteriors, forward_sample, forward_sample_cases, jointree_compile_count,
-    CalibratedTree, CalibratedView, JunctionTree, Posteriors, PropagationWorkspace,
-    VariableElimination,
+    jointree_work_counts, AbsorbedView, CalibratedTree, CalibratedView, JunctionTree, Posteriors,
+    PropagationWorkspace, VariableElimination, WorkCounts,
 };
 pub use network::{Network, NetworkBuilder, VarId};
 pub use submodel::{extract_submodel, Submodel};

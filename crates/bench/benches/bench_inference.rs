@@ -221,81 +221,26 @@ fn bench_lookahead_voi(c: &mut Criterion) {
     group.finish();
 }
 
-/// The facade-overhead audit of the unified session API: the same
-/// myopic decision measured three ways. `direct_kernel` is the scoring
-/// loop hand-rolled on the public bbn primitives (one base propagation,
-/// per-latent entropies, per-candidate outcome distributions, one
-/// hypothetical propagation per outcome) with no session in sight;
-/// `session_rank_actions` is the facade doing exactly that through
-/// `DiagnosisSession::rank_actions` (the contract: ≤5% apart);
-/// `serve_request_round` is the stateless serde boundary — open a
+/// The unified session API, layer by layer. `session_rank_actions` is
+/// one myopic decision over five test candidates through
+/// `DiagnosisSession::rank_actions`, absorbing every hypothetical into
+/// the calibration the session keeps (as a served round does after its
+/// diagnosis); `serve_request_round` is the stateless serde boundary — open a
 /// session, seed it, diagnose, rank, assemble the report — i.e. what one
 /// service round costs on top of the kernels. `diagnose_fleet_rows16` is
 /// the diagnosis kernel alone (propagation plus §IV-B deduction) over 16
 /// fixed, distinct fleet rows: the per-row work of a batch request.
 fn bench_session_api(c: &mut Criterion) {
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let engine = fitted.engine;
-    let compiled = Arc::clone(engine.compiled());
+    let compiled = Arc::clone(fitted.engine.compiled());
     let cases = regulator::cases::case_studies();
     let d1 = &cases[0];
     let mut controls = abbd_core::Observation::new();
     for (name, state) in d1.controls {
         controls.set(name, state);
     }
-    let candidate_names = ["reg1", "reg2", "reg3", "reg4", "sw"];
     let mut group = c.benchmark_group("session_api");
 
-    group.bench_function("direct_kernel", |b| {
-        let net = engine.model().network().clone();
-        let jt = JunctionTree::compile(&net).unwrap();
-        let evidence = engine.evidence_from(&controls).unwrap();
-        let latents: Vec<abbd_bbn::VarId> = engine
-            .model()
-            .circuit_model()
-            .latents()
-            .iter()
-            .map(|n| engine.model().var(n).unwrap())
-            .collect();
-        let candidates: Vec<abbd_bbn::VarId> = candidate_names
-            .iter()
-            .map(|n| engine.model().var(n).unwrap())
-            .collect();
-        let mut base_ws = jt.make_workspace();
-        let mut hyp_ws = jt.make_workspace();
-        let max_card = net.variables().map(|v| net.card(v)).max().unwrap();
-        let mut dist = vec![0.0; max_card];
-        let mut gains = vec![0.0; candidates.len()];
-        b.iter(|| {
-            let view = jt.propagate_in(&mut base_ws, &evidence).unwrap();
-            let mut total = 0.0;
-            for &v in &latents {
-                total += view.posterior_entropy(v).unwrap();
-            }
-            for (gi, &cand) in candidates.iter().enumerate() {
-                let card = net.card(cand);
-                view.posterior_into(cand, &mut dist[..card]).unwrap();
-                let mut expected_after = 0.0;
-                for (state, &p) in dist[..card].iter().enumerate() {
-                    if p <= 1e-12 {
-                        continue;
-                    }
-                    let hyp = jt
-                        .propagate_hypothetical_in(&mut hyp_ws, &evidence, cand, state)
-                        .unwrap();
-                    let mut h = 0.0;
-                    for &v in &latents {
-                        if v != cand {
-                            h += hyp.posterior_entropy(v).unwrap();
-                        }
-                    }
-                    expected_after += p * h;
-                }
-                gains[gi] = (total - expected_after).max(0.0);
-            }
-            black_box(gains.iter().cloned().fold(f64::MIN, f64::max))
-        })
-    });
     group.bench_function("session_rank_actions", |b| {
         let mut session =
             DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();

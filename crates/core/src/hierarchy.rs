@@ -60,9 +60,9 @@ use crate::engine::{Diagnosis, Observation};
 use crate::error::{Error, Result};
 use crate::model::CircuitModel;
 use crate::session::{
-    Action, ActionExecutor, AppliedMeasurement, CompiledModel, DecisionTrace, DiagnosisSession,
-    Outcome, Ranked, ScoredAction, SequentialOutcome, SessionReport, SessionRequest, StopReason,
-    StoppingPolicy,
+    fault_mass_entries, Action, ActionExecutor, AppliedMeasurement, CompiledModel, DecisionTrace,
+    DiagnosisSession, Outcome, Ranked, ScoredAction, SequentialOutcome, SessionReport,
+    SessionRequest, StopReason, StoppingPolicy,
 };
 use abbd_bbn::{extract_submodel, Evidence, NetworkBuilder, VarId, VariableElimination};
 use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
@@ -893,9 +893,9 @@ impl HierarchicalSession {
         Ok(())
     }
 
-    /// Checks the descent trigger against the root's current beliefs and
-    /// descends when a block's fault mass reaches the threshold (or, with
-    /// `force`, into the top block regardless).
+    /// [`HierarchicalSession::try_descend_at`] on a fresh root diagnosis:
+    /// the stepping path, whose last diagnosis predates the applied
+    /// measurement.
     ///
     /// # Errors
     ///
@@ -905,13 +905,27 @@ impl HierarchicalSession {
             return Ok(false);
         }
         let diagnosis = self.root.diagnose()?;
+        self.try_descend_at(&fault_mass_entries(&diagnosis), force)
+    }
+
+    /// Checks the descent trigger against the root's per-block fault mass
+    /// (`(block, mass)` entries from a diagnosis on the root's current
+    /// evidence) and descends when a block's mass reaches the threshold
+    /// (or, with `force`, into the top block regardless).
+    ///
+    /// # Errors
+    ///
+    /// Propagates compilation errors.
+    fn try_descend_at(&mut self, fault_mass: &[(String, f64)], force: bool) -> Result<bool> {
+        if self.child.is_some() {
+            return Ok(false);
+        }
         let mut best: Option<(usize, f64)> = None;
         for (idx, entry) in self.model.blocks.iter().enumerate() {
-            let mass = diagnosis
-                .fault_mass()
-                .get(&entry.spec.name)
-                .copied()
-                .unwrap_or(0.0);
+            let mass = fault_mass
+                .iter()
+                .find(|(name, _)| *name == entry.spec.name)
+                .map_or(0.0, |&(_, mass)| mass);
             if best.is_none_or(|(_, m)| mass > m) {
                 best = Some((idx, mass));
             }
@@ -1136,8 +1150,12 @@ impl HierarchicalSession {
                 let filtered = filter_request(request, self.model.root().model());
                 let report = self.root.serve_round(&filtered)?;
                 self.policy = request.policy;
-                if self.try_descend(false)?
-                    || (report.stop == Some(StopReason::Isolated) && self.try_descend(true)?)
+                // The report's fault mass is the root diagnosis on this
+                // round's evidence: the trigger reads it, not a second
+                // diagnosis.
+                if self.try_descend_at(&report.fault_mass, false)?
+                    || (report.stop == Some(StopReason::Isolated)
+                        && self.try_descend_at(&report.fault_mass, true)?)
                 {
                     // Descent within the round: answer from block level,
                     // so the client's next measurements target the block.

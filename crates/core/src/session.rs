@@ -60,7 +60,7 @@ use crate::deduce::{
 use crate::engine::{Diagnosis, Observation};
 use crate::error::{Error, Result};
 use crate::planner::{CostModel, LookaheadPlanner, Strategy};
-use crate::voi::{self, VoiScratch};
+use crate::voi::{self, VoiPlans, VoiScratch};
 use abbd_bbn::{Evidence, JunctionTree, PropagationWorkspace, VarId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -559,6 +559,9 @@ pub struct CompiledModel {
     /// Deduction's per-variable fault states, healthy masks and interned
     /// latent-ancestor sets.
     ancestry: AncestryTable,
+    /// Every variable's absorption plan towards the latents: what VOI
+    /// updates when it scores a hypothetical on that variable.
+    voi_plans: VoiPlans,
 }
 
 impl CompiledModel {
@@ -589,6 +592,8 @@ impl CompiledModel {
             spec_index[model.var(&v.name)?.index()] = i;
         }
         let ancestry = AncestryTable::new(&model)?;
+        let latent_ids: Vec<VarId> = latents.iter().map(|&(_, id)| id).collect();
+        let voi_plans = VoiPlans::new(&jt, &latent_ids)?;
         Ok(CompiledModel {
             model,
             jt,
@@ -597,6 +602,7 @@ impl CompiledModel {
             observables,
             spec_index,
             ancestry,
+            voi_plans,
         })
     }
 
@@ -656,6 +662,11 @@ impl CompiledModel {
     /// Deduction's precomputed per-variable table.
     pub(crate) fn ancestry(&self) -> &AncestryTable {
         &self.ancestry
+    }
+
+    /// The absorption plan VOI scores a hypothetical on `var` along.
+    pub(crate) fn voi_plan(&self, var: VarId) -> &[[u32; 3]] {
+        self.voi_plans.plan(var)
     }
 
     /// The latent block names, in spec order (the valid probe targets).
@@ -1379,7 +1390,8 @@ impl DiagnosisSession {
     /// (relative to the larger above 1) are ties, ordered by model
     /// position: symmetric measurements have equal values that differ
     /// only in rounding, and which of them is measured first must not
-    /// hang on the last bit. NaNs sort by `f64::total_cmp`.
+    /// hang on the last bit.
+    /// NaNs sort by `f64::total_cmp`.
     ///
     /// The information value is the one-step expected gain over the
     /// latent blocks for [`Strategy::Myopic`] and
@@ -1391,12 +1403,14 @@ impl DiagnosisSession {
     /// carrying information.
     ///
     /// This is the per-decision hot path: one base propagation plus up to
-    /// `card` hypothetical propagations per candidate (times the outcome
-    /// tree for lookahead), all through the compiled tree and the reused
-    /// workspaces — **zero junction-tree compilations, zero heap
-    /// allocations** once the session is warm. Right after
-    /// [`DiagnosisSession::diagnose`] on unchanged evidence the base
-    /// propagation is skipped: the diagnosis left it calibrated.
+    /// `card` absorptions per candidate, each updating only the cliques
+    /// between the candidate and the latents (lookahead instead runs a
+    /// full propagation per node of its outcome tree), all through the
+    /// compiled tree and the reused workspaces — **zero junction-tree
+    /// compilations, zero heap allocations** once the session is warm.
+    /// The base propagation is skipped while the evidence is unchanged
+    /// since the last [`DiagnosisSession::diagnose`] or ranking: the
+    /// calibration they left is reused.
     ///
     /// # Errors
     ///
@@ -1424,12 +1438,11 @@ impl DiagnosisSession {
         let net = compiled.model().network();
         match *strategy {
             Strategy::Myopic | Strategy::CostWeighted => {
-                let view = if *base_calibrated {
-                    jt.view_in(base_ws)
-                } else {
-                    jt.propagate_in(base_ws, evidence)
+                if !*base_calibrated {
+                    jt.propagate_in(base_ws, evidence).map_err(Error::Bbn)?;
+                    *base_calibrated = true;
                 }
-                .map_err(Error::Bbn)?;
+                let view = jt.view_in(base_ws).map_err(Error::Bbn)?;
                 latent_entropy.clear();
                 for &v in latents.iter() {
                     latent_entropy.push(view.posterior_entropy(v).map_err(Error::Bbn)?);
@@ -1446,8 +1459,9 @@ impl DiagnosisSession {
                         .map_err(Error::Bbn)?;
                     slot.gain = voi::expected_gain(
                         jt,
+                        base_ws,
                         hyp_ws,
-                        evidence,
+                        compiled.voi_plan(slot.var),
                         slot.var,
                         &dist[..card],
                         latents,

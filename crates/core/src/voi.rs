@@ -14,7 +14,7 @@
 //! gain(m) = U(e) − Σ_s P(m = s | e) · U(e, m = s)
 //! ```
 //!
-//! where the hypothetical terms re-propagate the junction tree with one
+//! where each hypothetical term conditions the junction tree on one
 //! extra finding. When `m` is itself one of the scored latents (a physical
 //! probe), its own entropy is excluded from both sides — observing a block
 //! trivially zeroes its own entropy, and counting that would make every
@@ -47,23 +47,60 @@
 //!
 //! # Steady-state mechanics
 //!
-//! One gain evaluation issues up to `card(m)` hypothetical propagations;
-//! ranking dozens of candidates per decision multiplies that out to the
-//! workload PR 1's compiled-schedule machinery was built for. The kernel
-//! therefore never compiles a tree and never allocates per query: the
-//! caller supplies a reusable [`PropagationWorkspace`], hypotheses ride
-//! through [`JunctionTree::propagate_hypothetical_in`] (no evidence
-//! mutation), and entropies come from the restricted
-//! [`abbd_bbn::CalibratedView::posterior_entropy`] helper.
+//! The session already holds a junction tree calibrated on the round's
+//! evidence `e` (its diagnosis left it there). Each hypothetical
+//! `m = s` is scored by [`JunctionTree::absorb_in`] from that tree: copy
+//! the cliques on `m`'s plan, retain `s` in `m`'s home clique and pass
+//! one Hugin update per plan edge. No collect, no distribute over the
+//! whole tree, no normalisation (posterior reads normalise). A plan is
+//! the subtree joining `m`'s home clique to the home cliques of the
+//! scored latents, because the score reads nothing else; the plans are
+//! computed once per model by [`VoiPlans::new`] at
+//! [`CompiledModel::compile`] and stored flat.
+//!
+//! Scoring therefore never compiles a tree and never allocates: the
+//! session supplies the calibrated base and one reusable
+//! [`PropagationWorkspace`] for the absorbed copies, and entropies come
+//! from [`abbd_bbn::AbsorbedView::posterior_entropy`]. The lookahead
+//! planner still conditions on stacks of hypotheticals through
+//! [`JunctionTree::propagate_hypotheticals_in`].
 
 use crate::error::{Error, Result};
 use crate::session::CompiledModel;
-use abbd_bbn::{Evidence, JunctionTree, PropagationWorkspace, VarId};
+use abbd_bbn::{JunctionTree, PropagationWorkspace, VarId};
 
 /// Probability floor below which a hypothetical state is skipped: states
 /// the current posterior rules out contribute nothing to the expectation
 /// and may be impossible under the model (propagation would error).
 pub(crate) const PROB_FLOOR: f64 = 1e-12;
+
+/// Every variable's outward absorption plan towards the latent blocks
+/// ([`JunctionTree::outward_plan`]), stored as one flat run of
+/// `[from, to, edge]` steps plus per-variable offsets.
+#[derive(Debug, Clone)]
+pub(crate) struct VoiPlans {
+    steps: Vec<[u32; 3]>,
+    /// `offsets[v]..offsets[v + 1]` is variable `v`'s plan.
+    offsets: Vec<usize>,
+}
+
+impl VoiPlans {
+    /// One plan per network variable, each targeting `latents`.
+    pub(crate) fn new(jt: &JunctionTree, latents: &[VarId]) -> Result<Self> {
+        let mut steps = Vec::new();
+        let mut offsets = vec![0];
+        for var in jt.network().variables() {
+            steps.extend(jt.outward_plan(var, latents).map_err(Error::Bbn)?);
+            offsets.push(steps.len());
+        }
+        Ok(VoiPlans { steps, offsets })
+    }
+
+    /// The plan for a hypothetical finding on `var`.
+    pub(crate) fn plan(&self, var: VarId) -> &[[u32; 3]] {
+        &self.steps[self.offsets[var.index()]..self.offsets[var.index() + 1]]
+    }
+}
 
 /// Reusable scoring buffers: one propagation workspace for hypothetical
 /// queries plus a distribution buffer sized for the widest variable.
@@ -71,7 +108,7 @@ pub(crate) const PROB_FLOOR: f64 = 1e-12;
 /// it is allocation-free.
 #[derive(Debug, Clone)]
 pub(crate) struct VoiScratch {
-    /// Workspace for hypothetical propagations.
+    /// Workspace for absorbed hypotheticals (and deduction's queries).
     pub(crate) ws: PropagationWorkspace,
     /// Scratch distribution, sized for the widest model variable.
     pub(crate) dist: Vec<f64>,
@@ -89,18 +126,20 @@ impl VoiScratch {
 }
 
 /// Expected reduction of `Σ_{v ∈ score_vars, v ≠ hypothesis} H(v | e)`
-/// when `hypothesis` is measured.
+/// when `hypothesis` is measured, with each outcome absorbed from `base`
+/// (calibrated on `e`) along `plan` into `hyp_ws`.
 ///
-/// `hyp_dist` is the current posterior `P(hypothesis | e)` (read from a
-/// base propagation the caller already performed) and `baseline_entropy`
-/// the current restricted entropy sum, with `hypothesis` itself already
-/// excluded. Clamped at zero: the marginal-entropy approximation can go
-/// fractionally negative through rounding, and a measurement is never
-/// *worse* than not measuring.
+/// `hyp_dist` is the current posterior `P(hypothesis | e)` (read from
+/// `base`) and `baseline_entropy` the current restricted entropy sum,
+/// with `hypothesis` itself already excluded. Clamped at zero: the
+/// marginal-entropy approximation can go fractionally negative through
+/// rounding, and a measurement is never *worse* than not measuring.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn expected_gain(
     jt: &JunctionTree,
+    base: &PropagationWorkspace,
     hyp_ws: &mut PropagationWorkspace,
-    evidence: &Evidence,
+    plan: &[[u32; 3]],
     hypothesis: VarId,
     hyp_dist: &[f64],
     score_vars: &[VarId],
@@ -112,7 +151,7 @@ pub(crate) fn expected_gain(
             continue;
         }
         let view = jt
-            .propagate_hypothetical_in(hyp_ws, evidence, hypothesis, state)
+            .absorb_in(base, hyp_ws, plan, (hypothesis, state))
             .map_err(Error::Bbn)?;
         let mut h = 0.0;
         for &v in score_vars {
@@ -129,8 +168,10 @@ pub(crate) fn expected_gain(
 mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
+    use crate::engine::Observation;
     use crate::model::CircuitModel;
-    use crate::session::{Action, DiagnosisSession, StoppingPolicy};
+    use crate::session::{Action, DiagnosisSession, SessionRequest, StoppingPolicy};
+    use abbd_bbn::Evidence;
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
     use std::sync::Arc;
 
@@ -165,6 +206,105 @@ mod tests {
             .build_expert_only()
             .unwrap();
         CompiledModel::compile(dm).unwrap().shared()
+    }
+
+    /// Latents `h` and `g`; `a` and `b` both copy `h` exactly, so
+    /// observing them in different states is impossible evidence; `c`
+    /// reads `g`.
+    fn deterministic() -> Arc<CompiledModel> {
+        let var = |name: &str, ftype| VariableSpec {
+            name: name.into(),
+            ftype,
+            bands: vec![
+                StateBand::new("0", 0.0, 1.0, "bad"),
+                StateBand::new("1", 1.0, 2.0, "good"),
+            ],
+            ckt_ref: None,
+        };
+        let spec = ModelSpec::new([
+            var("h", FunctionalType::Latent),
+            var("g", FunctionalType::Latent),
+            var("a", FunctionalType::Observe),
+            var("b", FunctionalType::Observe),
+            var("c", FunctionalType::Observe),
+        ])
+        .unwrap();
+        let mut m = CircuitModel::new(spec);
+        for (from, to) in [("h", "a"), ("h", "b"), ("h", "c"), ("g", "c")] {
+            m.depends(from, to).unwrap();
+        }
+        let mut e = ExpertKnowledge::new(10.0);
+        e.cpt("h", [[0.3, 0.7]]);
+        e.cpt("g", [[0.2, 0.8]]);
+        e.cpt("a", [[1.0, 0.0], [0.0, 1.0]]);
+        e.cpt("b", [[1.0, 0.0], [0.0, 1.0]]);
+        e.cpt("c", [[0.9, 0.1], [0.6, 0.4], [0.5, 0.5], [0.05, 0.95]]);
+        let dm = ModelBuilder::new(m)
+            .with_expert(e)
+            .build_expert_only()
+            .unwrap();
+        CompiledModel::compile(dm).unwrap().shared()
+    }
+
+    /// A session's scratch workspace serves deduction's queries and every
+    /// absorption; a round that fails after its diagnosis began must not
+    /// leave anything the next ranking reads. Gains must equal a fresh
+    /// session's to the bit.
+    #[test]
+    fn a_round_failing_in_its_report_leaves_no_trace_in_the_ranking() {
+        let compiled = deterministic();
+        let gains = |s: &mut DiagnosisSession| {
+            let mut out: Vec<(String, u64)> = s
+                .rank_actions()
+                .unwrap()
+                .iter()
+                .map(|c| {
+                    (
+                        c.name().to_string(),
+                        c.expected_information_gain().to_bits(),
+                    )
+                })
+                .collect();
+            out.sort();
+            out
+        };
+        let fresh = |s: &DiagnosisSession| {
+            let mut f =
+                DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
+            f.observe_all(s.observation()).unwrap();
+            let actions: Vec<Action> = s.actions().iter().map(|c| c.action().clone()).collect();
+            f.set_actions(actions).unwrap();
+            gains(&mut f)
+        };
+        let mut s =
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
+        let mut first = Observation::new();
+        first.set("a", 0);
+        s.serve_round(&SessionRequest::new(first)).unwrap();
+        let before = gains(&mut s);
+        assert_eq!(before, fresh(&s));
+
+        // `b = 1` contradicts `a = 0` only once propagated: the absorb
+        // succeeds and the report's diagnosis fails.
+        let mut contradiction = Observation::new();
+        contradiction.set("b", 1);
+        let err = s
+            .serve_round(&SessionRequest::new(contradiction).into_delta())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            Error::Bbn(abbd_bbn::Error::ImpossibleEvidence)
+        ));
+        assert_eq!(gains(&mut s), before, "the rollback restores the ranking");
+        assert_eq!(gains(&mut s), fresh(&s));
+
+        // A different menu (probes included) through the same scratch.
+        s.set_actions([Action::probe("g"), Action::probe("h"), Action::test("c")])
+            .unwrap();
+        s.diagnose().unwrap();
+        assert_eq!(gains(&mut s), fresh(&s));
+        s.set_actions([Action::test("b")]).unwrap();
+        assert_eq!(gains(&mut s), fresh(&s));
     }
 
     #[test]
@@ -220,8 +360,9 @@ mod tests {
         let noisy_baseline = -1e-16;
         let gain = expected_gain(
             compiled.jt(),
+            &base_ws,
             &mut scratch.ws,
-            &evidence,
+            compiled.voi_plan(var),
             var,
             &dist,
             &latents,

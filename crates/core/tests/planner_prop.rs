@@ -82,7 +82,7 @@ proptest! {
 
     /// `Lookahead { depth: 1 }` with a unit cost model is the myopic loop:
     /// identical measurement choices in identical order, identical stop
-    /// reason, identical final posterior.
+    /// reason, identical final posterior, and values equal to 1e-12.
     #[test]
     fn depth1_unit_cost_lookahead_reproduces_myopic_decisions(
         raw in proptest::collection::vec(0.05f64..0.95, 12),
@@ -113,8 +113,11 @@ proptest! {
         prop_assert_eq!(order(&l), order(&m));
         prop_assert_eq!(l.diagnosis.posteriors(), m.diagnosis.posteriors());
         for (a, b) in l.applied.iter().zip(&m.applied) {
-            // Depth-1 values are the myopic gains, bit for bit.
-            prop_assert_eq!(a.expected_information_gain, b.expected_information_gain);
+            // Depth-1 values are the myopic gains to 1e-12: lookahead
+            // propagates each hypothetical in full, the myopic kernel
+            // absorbs it into the calibrated tree.
+            let (a, b) = (a.expected_information_gain.unwrap(), b.expected_information_gain.unwrap());
+            prop_assert!((a - b).abs() <= 1e-12, "depth-1 value {} vs myopic gain {}", a, b);
         }
     }
 

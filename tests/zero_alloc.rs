@@ -4,7 +4,8 @@
 //! **zero junction-tree compilations and zero heap allocations** — both
 //! the myopic kernel and the depth-2 expectimax planner, including a
 //! *mixed* test-plus-probe candidate set — and so must deduction's
-//! collect-only exoneration query.
+//! collect-only exoneration query. The work counters confirm the myopic
+//! windows run the absorption kernel, not full propagations.
 //!
 //! A counting global allocator wraps the system allocator and tallies
 //! `alloc`/`realloc` calls per thread; the compile counter lives in
@@ -12,7 +13,7 @@
 //! `#[test]` so no sibling test can allocate on this thread inside the
 //! measurement window.
 
-use abbd::bbn::jointree_compile_count;
+use abbd::bbn::{jointree_compile_count, jointree_work_counts};
 use abbd::core::fixtures::toy_compiled_model;
 use abbd::core::{
     Action, CostModel, DiagnosisSession, HierarchicalSession, Outcome, StoppingPolicy, Strategy,
@@ -81,6 +82,7 @@ fn steady_state_scoring_compiles_nothing_and_allocates_nothing() {
     d.rank_actions().unwrap();
 
     let compiles_before = jointree_compile_count();
+    let work_before = jointree_work_counts();
     let allocs_before = alloc_events();
     let mut checksum = 0.0;
     for _ in 0..16 {
@@ -89,8 +91,13 @@ fn steady_state_scoring_compiles_nothing_and_allocates_nothing() {
     }
     let allocs = alloc_events() - allocs_before;
     let compiles = jointree_compile_count() - compiles_before;
+    let work = jointree_work_counts().since(work_before);
 
     assert!(checksum.is_finite() && checksum > 0.0);
+    // The window ran the absorption kernel: every hypothetical absorbed
+    // into the kept calibration, no full propagation.
+    assert_eq!(work.propagations, 0, "{work:?}");
+    assert!(work.absorptions >= 16 * 3, "{work:?}");
     assert_eq!(
         compiles, 0,
         "steady-state VOI scoring must reuse the compiled junction tree"
@@ -282,6 +289,7 @@ fn steady_state_scoring_compiles_nothing_and_allocates_nothing() {
     g.rank_actions().unwrap();
     g.rank_actions().unwrap();
     let compiles_before = jointree_compile_count();
+    let work_before = jointree_work_counts();
     let allocs_before = alloc_events();
     let mut checksum = 0.0;
     for _ in 0..8 {
@@ -290,8 +298,11 @@ fn steady_state_scoring_compiles_nothing_and_allocates_nothing() {
     }
     let allocs = alloc_events() - allocs_before;
     let compiles = jointree_compile_count() - compiles_before;
+    let work = jointree_work_counts().since(work_before);
 
     assert!(checksum.is_finite() && checksum > 0.0);
+    assert_eq!(work.propagations, 0, "{work:?}");
+    assert!(work.absorptions >= 8 * 60, "{work:?}");
     assert_eq!(
         compiles, 0,
         "60-candidate grid scoring must reuse the compiled junction tree"
