@@ -1390,8 +1390,7 @@ impl DiagnosisSession {
     /// (relative to the larger above 1) are ties, ordered by model
     /// position: symmetric measurements have equal values that differ
     /// only in rounding, and which of them is measured first must not
-    /// hang on the last bit.
-    /// NaNs sort by `f64::total_cmp`.
+    /// hang on the last bit. NaNs sort by `f64::total_cmp`.
     ///
     /// The information value is the one-step expected gain over the
     /// latent blocks for [`Strategy::Myopic`] and
@@ -1458,10 +1457,9 @@ impl DiagnosisSession {
                     view.posterior_into(slot.var, &mut dist[..card])
                         .map_err(Error::Bbn)?;
                     slot.gain = voi::expected_gain(
-                        jt,
+                        compiled,
                         base_ws,
                         hyp_ws,
-                        compiled.voi_plan(slot.var),
                         slot.var,
                         &dist[..card],
                         latents,

@@ -127,30 +127,30 @@ impl VoiScratch {
 
 /// Expected reduction of `Σ_{v ∈ score_vars, v ≠ hypothesis} H(v | e)`
 /// when `hypothesis` is measured, with each outcome absorbed from `base`
-/// (calibrated on `e`) along `plan` into `hyp_ws`.
+/// (calibrated on `e`) along the hypothesis's plan into `hyp_ws`.
 ///
 /// `hyp_dist` is the current posterior `P(hypothesis | e)` (read from
 /// `base`) and `baseline_entropy` the current restricted entropy sum,
 /// with `hypothesis` itself already excluded. Clamped at zero: the
 /// marginal-entropy approximation can go fractionally negative through
 /// rounding, and a measurement is never *worse* than not measuring.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn expected_gain(
-    jt: &JunctionTree,
+    compiled: &CompiledModel,
     base: &PropagationWorkspace,
     hyp_ws: &mut PropagationWorkspace,
-    plan: &[[u32; 3]],
     hypothesis: VarId,
     hyp_dist: &[f64],
     score_vars: &[VarId],
     baseline_entropy: f64,
 ) -> Result<f64> {
+    let plan = compiled.voi_plan(hypothesis);
     let mut expected_after = 0.0;
     for (state, &p_state) in hyp_dist.iter().enumerate() {
         if p_state <= PROB_FLOOR {
             continue;
         }
-        let view = jt
+        let view = compiled
+            .jt()
             .absorb_in(base, hyp_ws, plan, (hypothesis, state))
             .map_err(Error::Bbn)?;
         let mut h = 0.0;
@@ -359,10 +359,9 @@ mod tests {
         let dist = scratch.dist[..2].to_vec();
         let noisy_baseline = -1e-16;
         let gain = expected_gain(
-            compiled.jt(),
+            &compiled,
             &base_ws,
             &mut scratch.ws,
-            compiled.voi_plan(var),
             var,
             &dist,
             &latents,
