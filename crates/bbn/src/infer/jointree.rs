@@ -137,7 +137,11 @@ pub fn work_counts() -> WorkCounts {
     WORK.with(Cell::get)
 }
 
-/// Adds one query's work to the calling thread's [`work_counts`].
+/// Adds one query's work to the calling thread's [`work_counts`]. Called
+/// after the query's table arithmetic and kept out of line, so the
+/// counters stay out of the propagation loops' code.
+#[cold]
+#[inline(never)]
 fn tally(propagations: u64, collect_queries: u64, absorptions: u64, messages: usize) {
     WORK.with(|cell| {
         let w = cell.get();
@@ -622,9 +626,12 @@ impl JunctionTree {
         hypotheticals: &[(VarId, usize)],
     ) -> Result<()> {
         self.load(ws, evidence, hypotheticals)?;
+        let passed = self.collect(ws).and_then(|log_likelihood| {
+            ws.log_likelihood = log_likelihood;
+            self.distribute(ws)
+        });
         tally(1, 0, 0, 2 * self.sched.collect_schedule.len());
-        ws.log_likelihood = self.collect(ws)?;
-        self.distribute(ws)?;
+        passed?;
         ws.calibrated = true;
         Ok(())
     }
@@ -793,12 +800,13 @@ impl JunctionTree {
             }
         }
         self.load(ws, evidence, &[])?;
-        tally(0, 1, 0, self.sched.collect_schedule.len());
         for &(var, mask) in masks {
             let slot = self.sched.slots[var.index()];
             scale_axis_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, mask);
         }
-        self.collect(ws)
+        let log_likelihood = self.collect(ws);
+        tally(0, 1, 0, self.sched.collect_schedule.len());
+        log_likelihood
     }
 
     /// The outward plan for absorbing a finding on `from` and reading
@@ -938,7 +946,6 @@ impl JunctionTree {
             }
             ws.on_plan[to] = true;
         }
-        tally(0, 0, 1, plan.len());
         ws.calibrated = false;
         ws.beliefs[slot.clique].copy_from_slice(&base.beliefs[slot.clique]);
         retain_state_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, state);
@@ -964,6 +971,7 @@ impl JunctionTree {
                 geometry.strides_for(to),
             );
         }
+        tally(0, 0, 1, plan.len());
         Ok(AbsorbedView { tree: self, ws })
     }
 
