@@ -428,8 +428,8 @@ fn gain_bits(session: &mut DiagnosisSession) -> Vec<(String, u64)> {
 }
 
 /// A long-lived session whose scratch workspace has served deduction's
-/// queries, absorbed other plans and rolled back a failed round must
-/// score exactly as a fresh session on the same evidence and menu.
+/// queries, absorbed other plans and refused a round must score exactly
+/// as a fresh session on the same evidence and menu.
 #[test]
 fn ranking_is_history_independent() {
     let compiled = serving_regulator();
@@ -472,7 +472,9 @@ fn ranking_is_history_independent() {
         check(&mut s);
     }
 
-    // A failed round rolls back after its own diagnosis.
+    // A refused round (a delta contradicting a stored measurement) leaves
+    // the session as it was; a round failing in its report phase is
+    // covered by `voi::tests` on a model with impossible evidence.
     let (name, state) = case.observables[0];
     let mut contradiction = Observation::new();
     contradiction.set(name, 1 - state.min(1));
