@@ -58,6 +58,12 @@ pub enum Error {
     /// A read of this variable from an absorbed view whose plan does not
     /// reach the variable's home clique.
     NotOnPlan(String),
+    /// A junction-tree clique has more cells than its compiled message
+    /// index maps can address (`u32`).
+    CliqueTooLarge {
+        /// The clique's variables.
+        variables: Vec<String>,
+    },
     /// An iterative algorithm failed to converge.
     NotConverged {
         /// The algorithm that gave up.
@@ -118,6 +124,11 @@ impl fmt::Display for Error {
             Error::NotOnPlan(name) => {
                 write!(f, "variable `{name}` is off the absorption plan")
             }
+            Error::CliqueTooLarge { variables } => write!(
+                f,
+                "junction-tree clique over {} has more than 2^32 cells",
+                variables.join(", ")
+            ),
             Error::NotConverged { what, iterations } => {
                 write!(f, "{what} did not converge within {iterations} iterations")
             }
@@ -170,6 +181,9 @@ mod tests {
             Error::Uncalibrated,
             Error::InvalidPlan("step 0 -> 1".into()),
             Error::NotOnPlan("r".into()),
+            Error::CliqueTooLarge {
+                variables: vec!["a".into(), "b".into()],
+            },
             Error::NotConverged {
                 what: "EM".into(),
                 iterations: 10,

@@ -1,4 +1,5 @@
-//! Stride-map kernels: the shared inner loops of every factor operation.
+//! Table kernels: the shared inner loops of every factor operation and of
+//! junction-tree message passing.
 //!
 //! # Memory layout
 //!
@@ -7,20 +8,36 @@
 //! `(c_0, .., c_{k-1})` lives at `((s_0 * c_1 + s_1) * c_2 + ..) + s_{k-1}`.
 //! The stride of axis `i` is therefore `c_{i+1} * .. * c_{k-1}`.
 //!
-//! # Broadcast strides
+//! # Broadcast strides (factor algebra and compile-time tables)
 //!
-//! Every kernel walks a *target* index space (a clique table, a product
-//! scope, a separator) linearly while maintaining one or more *secondary*
-//! linear indices incrementally. A secondary table (a message, an operand
-//! factor, a marginal) is described by its **broadcast strides**: for each
-//! target axis, the secondary table's own stride when it contains that
-//! variable, `0` when it does not. Absent axes then naturally broadcast
-//! (multiply) or accumulate (marginalize) without any per-cell index
-//! arithmetic beyond a handful of adds.
+//! The stride kernels walk a *target* index space (a product scope, a
+//! clique table, a family marginal) linearly while an odometer keeps one
+//! or more *secondary* linear indices in step. A secondary table (an
+//! operand factor, a CPT, a marginal) is described by its **broadcast
+//! strides**: for each target axis, the secondary table's own stride when
+//! it contains that variable, `0` when it does not. Absent axes then
+//! broadcast (multiply) or accumulate (marginalize) with a handful of adds
+//! and one branch per axis per cell. [`Factor`](crate::Factor)
+//! operations, variable elimination, the junction tree's compiled base
+//! tables and its EM family marginals use these kernels: each runs once
+//! per operation, over shapes that are not known in advance.
 //!
 //! The odometer state lives in a fixed stack array, so kernels never
 //! allocate: a factor with more than [`MAX_AXES`] axes would need a table
 //! of at least 2^64 cells and cannot exist.
+//!
+//! # Index maps (junction-tree messages)
+//!
+//! A junction tree passes messages over the same clique/separator pairs
+//! on every query, so it runs the odometer once per pair at compile time:
+//! [`index_map`] records, for every clique cell, the separator cell the
+//! broadcast strides would reach. The message kernels
+//! ([`scatter_add_kernel`], [`gather_mul_kernel`],
+//! [`gather_copy_mul_kernel`]) are then straight loops with one indexed
+//! load per cell. They visit the cells in the odometer's order, so every
+//! output cell sees the same additions in the same order, or the same
+//! single product, as [`marginalize_kernel`] and [`mul_broadcast_kernel`]
+//! over the same strides: the results are bitwise equal.
 
 /// Upper bound on scope width (tables have at least 2^width cells).
 pub(crate) const MAX_AXES: usize = 64;
@@ -45,7 +62,7 @@ pub(crate) fn axis_stride(cards: &[usize], pos: usize) -> usize {
 /// truth for aligning one scope to another — every marginalize/broadcast
 /// site (factor ops, separators, evidence slots, family tables) derives
 /// its stride maps here so a layout change has exactly one home.
-pub(crate) fn aligned_strides<V: PartialEq + Copy>(
+pub fn aligned_strides<V: PartialEq + Copy>(
     sub_scope: &[V],
     sub_cards: &[usize],
     target_scope: &[V],
@@ -169,7 +186,7 @@ pub(crate) fn product_all_accumulate_kernel(
 }
 
 /// `buf[i] *= m[i_m]` where `m`'s scope is a subset of the buffer's scope.
-pub(crate) fn mul_broadcast_kernel(cards: &[usize], buf: &mut [f64], m: &[f64], m_str: &[usize]) {
+pub fn mul_broadcast_kernel(cards: &[usize], buf: &mut [f64], m: &[f64], m_str: &[usize]) {
     check_axes(cards);
     let total = table_len(cards);
     let mut assign = [0usize; MAX_AXES];
@@ -195,7 +212,7 @@ pub(crate) fn div_broadcast_kernel(cards: &[usize], buf: &mut [f64], m: &[f64], 
 
 /// `out[i_out] += src[i]` — marginalizes a table onto a sub-scope described
 /// by `out_str` broadcast strides. `out` must be pre-zeroed.
-pub(crate) fn marginalize_kernel(cards: &[usize], src: &[f64], out_str: &[usize], out: &mut [f64]) {
+pub fn marginalize_kernel(cards: &[usize], src: &[f64], out_str: &[usize], out: &mut [f64]) {
     check_axes(cards);
     let total = table_len(cards);
     let mut assign = [0usize; MAX_AXES];
@@ -203,6 +220,56 @@ pub(crate) fn marginalize_kernel(cards: &[usize], src: &[f64], out_str: &[usize]
     for &v in src.iter().take(total) {
         out[idx[0]] += v;
         step(cards, &mut assign, [out_str], &mut idx);
+    }
+}
+
+/// The index map of a table over `cards` into a sub-table with broadcast
+/// strides `sub_str` (from [`aligned_strides`]): entry `i` is the sub-table
+/// cell that table cell `i` marginalizes into or is multiplied by. Walks
+/// the odometer once, so message passing never has to.
+///
+/// # Panics
+///
+/// Panics when a sub-table index does not fit `u32`; the junction tree
+/// refuses such cliques when it compiles.
+pub fn index_map(cards: &[usize], sub_str: &[usize]) -> Vec<u32> {
+    check_axes(cards);
+    let total = table_len(cards);
+    let mut assign = [0usize; MAX_AXES];
+    let mut idx = [0usize; 1];
+    let mut map = Vec::with_capacity(total);
+    for _ in 0..total {
+        map.push(u32::try_from(idx[0]).expect("sub-table cell fits u32"));
+        step(cards, &mut assign, [sub_str], &mut idx);
+    }
+    map
+}
+
+/// `out[map[i]] += src[i]`: [`marginalize_kernel`] through an
+/// [`index_map`]. `out` must be pre-zeroed.
+pub fn scatter_add_kernel(src: &[f64], map: &[u32], out: &mut [f64]) {
+    debug_assert_eq!(src.len(), map.len());
+    for (&v, &m) in src.iter().zip(map) {
+        out[m as usize] += v;
+    }
+}
+
+/// `buf[i] *= m[map[i]]`: [`mul_broadcast_kernel`] through an
+/// [`index_map`].
+pub fn gather_mul_kernel(buf: &mut [f64], map: &[u32], m: &[f64]) {
+    debug_assert_eq!(buf.len(), map.len());
+    for (slot, &i) in buf.iter_mut().zip(map) {
+        *slot *= m[i as usize];
+    }
+}
+
+/// `out[i] = src[i] * m[map[i]]`: a copy of `src` fused with
+/// [`gather_mul_kernel`], so the destination is written once.
+pub fn gather_copy_mul_kernel(out: &mut [f64], src: &[f64], map: &[u32], m: &[f64]) {
+    debug_assert_eq!(out.len(), map.len());
+    debug_assert_eq!(src.len(), map.len());
+    for ((slot, &v), &i) in out.iter_mut().zip(src).zip(map) {
+        *slot = v * m[i as usize];
     }
 }
 

@@ -8,9 +8,25 @@
 //!
 //! Compilation does all structural work up front: triangulation, clique
 //! extraction, the spanning tree, **and** a flat message-passing schedule —
-//! per-edge separator shapes, broadcast stride maps between cliques and
-//! separators, per-variable evidence-entry slots, and the evidence-free
-//! clique potentials (the product of every assigned CPT, stored once).
+//! per-edge separator shapes and index maps, per-variable evidence-entry
+//! slots, and the evidence-free clique potentials (the product of every
+//! assigned CPT, stored once).
+//!
+//! # Edge index maps
+//!
+//! Every tree edge stores, for each endpoint clique, the separator cell
+//! of every clique cell as a flat `Vec<u32>` (built once by
+//! [`index_map`] from the separator's broadcast strides). A message is
+//! then two straight loops: `msg[map[i]] += belief[i]` out of the sending
+//! clique and `belief[i] *= msg[map[i]]` into the receiving one;
+//! [`JunctionTree::absorb_in`] fuses the second with its copy of the base
+//! belief (`ws[i] = base[i] * update[map[i]]`). The loops visit cells in
+//! the row-major order the stride kernels walk, so each cell sees the same
+//! additions in the same order and the same single product: message
+//! passing is bitwise what the odometer computed. The maps cost one `u32`
+//! per clique cell per incident edge (11 KB for the fitted regulator), and
+//! compilation refuses a clique of more than 2^32 cells
+//! ([`Error::CliqueTooLarge`]) rather than index it.
 //!
 //! [`JunctionTree::propagate_in`] is then a flat loop over that schedule
 //! through a reusable [`PropagationWorkspace`], and a query performs **zero
@@ -45,14 +61,16 @@
 //!
 //! Two per-thread counters let tests and benches prove what a hot loop
 //! does: [`compile_count`] (structural compilations) and [`work_counts`]
-//! (full propagations, collect-only queries, absorptions, and the
-//! separator messages they pass).
+//! (full propagations, collect-only queries, absorptions, the separator
+//! messages they pass and the clique cells those messages read and
+//! write).
 
 use crate::error::{Error, Result};
 use crate::evidence::Evidence;
 use crate::factor::strides::{
-    aligned_strides, axis_marginal_kernel, axis_stride, marginalize_kernel, mul_broadcast_kernel,
-    retain_state_kernel, scale_axis_kernel, table_len,
+    aligned_strides, axis_marginal_kernel, axis_stride, gather_copy_mul_kernel, gather_mul_kernel,
+    index_map, marginalize_kernel, mul_broadcast_kernel, retain_state_kernel, scale_axis_kernel,
+    scatter_add_kernel, table_len,
 };
 use crate::factor::Factor;
 use crate::graph::{elimination_order, moral_graph};
@@ -105,6 +123,11 @@ pub struct WorkCounts {
     /// full propagation, one per edge for a collect, one per plan step
     /// for an absorption.
     pub messages: u64,
+    /// Clique cells those messages read and wrote: each message reads
+    /// every cell of its sending clique and writes every cell of its
+    /// receiving clique. Loading, evidence entry and normalisation are
+    /// not message passing and are not counted.
+    pub cells: u64,
 }
 
 impl WorkCounts {
@@ -113,6 +136,7 @@ impl WorkCounts {
         collect_queries: 0,
         absorptions: 0,
         messages: 0,
+        cells: 0,
     };
 
     /// The work done between the snapshot `earlier` and `self` (both
@@ -124,6 +148,7 @@ impl WorkCounts {
             collect_queries: self.collect_queries - earlier.collect_queries,
             absorptions: self.absorptions - earlier.absorptions,
             messages: self.messages - earlier.messages,
+            cells: self.cells - earlier.cells,
         }
     }
 }
@@ -142,7 +167,7 @@ pub fn work_counts() -> WorkCounts {
 /// counters stay out of the propagation loops' code.
 #[cold]
 #[inline(never)]
-fn tally(propagations: u64, collect_queries: u64, absorptions: u64, messages: usize) {
+fn tally(propagations: u64, collect_queries: u64, absorptions: u64, messages: usize, cells: u64) {
     WORK.with(|cell| {
         let w = cell.get();
         cell.set(WorkCounts {
@@ -150,6 +175,7 @@ fn tally(propagations: u64, collect_queries: u64, absorptions: u64, messages: us
             collect_queries: w.collect_queries + collect_queries,
             absorptions: w.absorptions + absorptions,
             messages: w.messages + messages as u64,
+            cells: w.cells + cells,
         });
     });
 }
@@ -161,31 +187,38 @@ struct Clique {
     len: usize,
 }
 
-/// One tree edge with its compiled message geometry: the separator shape
-/// plus broadcast strides aligning the separator to both endpoint cliques
-/// (used for marginalizing out of one clique and multiplying into the
-/// other, in both directions).
+/// One tree edge with its compiled message geometry: the separator (its
+/// variables for the reference propagation, its table length for the
+/// workspace) and, for each endpoint clique, the separator cell of every
+/// clique cell (used for marginalizing out of one clique and multiplying
+/// into the other, in both directions).
 #[derive(Debug, Clone)]
 struct TreeEdge {
     a: usize,
     b: usize,
     sepset: Vec<VarId>,
     sep_len: usize,
-    /// Separator strides aligned to clique `a`'s axes (0 for absent vars).
-    a_str: Vec<usize>,
-    /// Separator strides aligned to clique `b`'s axes.
-    b_str: Vec<usize>,
+    /// The separator cell of each cell of clique `a`.
+    a_map: Vec<u32>,
+    /// The separator cell of each cell of clique `b`.
+    b_map: Vec<u32>,
 }
 
 impl TreeEdge {
-    /// The separator strides aligned to the given endpoint clique.
-    fn strides_for(&self, clique: usize) -> &[usize] {
+    /// The index map of the given endpoint clique into the separator.
+    fn map_for(&self, clique: usize) -> &[u32] {
         if clique == self.a {
-            &self.a_str
+            &self.a_map
         } else {
             debug_assert_eq!(clique, self.b);
-            &self.b_str
+            &self.b_map
         }
+    }
+
+    /// Clique cells one message over this edge reads and writes (see
+    /// [`WorkCounts::cells`]): both endpoint tables, in either direction.
+    fn message_cells(&self) -> u64 {
+        (self.a_map.len() + self.b_map.len()) as u64
     }
 }
 
@@ -257,6 +290,9 @@ struct Schedule {
     /// Collect order: edges as `(child clique, parent clique, edge index)`
     /// from the leaves towards clique 0.
     collect_schedule: Vec<(usize, usize, usize)>,
+    /// Clique cells one sweep over every edge reads and writes: what a
+    /// collect tallies, and a distribute again.
+    sweep_cells: u64,
     /// Evidence-free clique potentials: the product of every CPT assigned
     /// to the clique, compiled once and `memcpy`-restored per query.
     base: Vec<Vec<f64>>,
@@ -267,8 +303,9 @@ impl JunctionTree {
     ///
     /// # Errors
     ///
-    /// Propagates factor-shape errors; compilation itself cannot fail on a
-    /// validated [`Network`].
+    /// Returns [`Error::CliqueTooLarge`] when triangulation yields a
+    /// clique of more than 2^32 cells, which the message index maps cannot
+    /// address; otherwise propagates factor-shape errors.
     pub fn compile(net: &Network) -> Result<Self> {
         COMPILE_CALLS.with(|c| c.set(c.get() + 1));
         let n = net.var_count();
@@ -300,14 +337,21 @@ impl JunctionTree {
             .map(|scope| {
                 let scope_vars: Vec<VarId> = scope.iter().map(|&i| VarId::from_index(i)).collect();
                 let cards: Vec<usize> = scope_vars.iter().map(|v| net.card(*v)).collect();
-                let len = table_len(&cards);
-                Clique {
+                // Every cell index must fit the u32 index maps.
+                let len = cards
+                    .iter()
+                    .try_fold(1u64, |len, &card| len.checked_mul(card as u64))
+                    .filter(|&len| len <= 1 << 32)
+                    .ok_or_else(|| Error::CliqueTooLarge {
+                        variables: scope_vars.iter().map(|&v| net.name(v).into()).collect(),
+                    })?;
+                Ok(Clique {
                     scope: scope_vars,
                     cards,
-                    len,
-                }
+                    len: len as usize,
+                })
             })
-            .collect();
+            .collect::<Result<_>>()?;
 
         // Maximum-spanning tree over sepset cardinality (Kruskal). Edges
         // with empty sepsets are allowed so disconnected components still
@@ -345,8 +389,10 @@ impl JunctionTree {
                     .filter(|v| cliques[b].scope.contains(v))
                     .collect();
                 let sep_cards: Vec<usize> = sepset.iter().map(|v| net.card(*v)).collect();
-                let a_str = aligned_strides(&sepset, &sep_cards, &cliques[a].scope);
-                let b_str = aligned_strides(&sepset, &sep_cards, &cliques[b].scope);
+                let map_of = |c: &Clique| {
+                    index_map(&c.cards, &aligned_strides(&sepset, &sep_cards, &c.scope))
+                };
+                let (a_map, b_map) = (map_of(&cliques[a]), map_of(&cliques[b]));
                 let idx = edges.len();
                 neighbors[a].push((b, idx));
                 neighbors[b].push((a, idx));
@@ -355,8 +401,8 @@ impl JunctionTree {
                     b,
                     sep_len: table_len(&sep_cards),
                     sepset,
-                    a_str,
-                    b_str,
+                    a_map,
+                    b_map,
                 });
             }
         }
@@ -422,6 +468,7 @@ impl JunctionTree {
             .rev()
             .filter_map(|&c| parent[c].map(|(p, e)| (c, p, e)))
             .collect();
+        let sweep_cells = edges.iter().map(TreeEdge::message_cells).sum();
 
         let base = compile_base(net, &cliques, &family_clique);
 
@@ -434,6 +481,7 @@ impl JunctionTree {
                 home_clique,
                 slots,
                 collect_schedule,
+                sweep_cells,
                 base,
             }),
         })
@@ -630,7 +678,13 @@ impl JunctionTree {
             ws.log_likelihood = log_likelihood;
             self.distribute(ws)
         });
-        tally(1, 0, 0, 2 * self.sched.collect_schedule.len());
+        tally(
+            1,
+            0,
+            0,
+            2 * self.sched.collect_schedule.len(),
+            2 * self.sched.sweep_cells,
+        );
         passed?;
         ws.calibrated = true;
         Ok(())
@@ -673,12 +727,7 @@ impl JunctionTree {
             let edge = &self.sched.edges[eidx];
             let msg = &mut ws.messages[eidx];
             msg.fill(0.0);
-            marginalize_kernel(
-                &self.sched.cliques[child].cards,
-                &ws.beliefs[child],
-                edge.strides_for(child),
-                msg,
-            );
+            scatter_add_kernel(&ws.beliefs[child], edge.map_for(child), msg);
             let z: f64 = msg.iter().sum();
             if z <= 0.0 {
                 return Err(Error::ImpossibleEvidence);
@@ -687,12 +736,7 @@ impl JunctionTree {
                 *v /= z;
             }
             log_scale += z.ln();
-            mul_broadcast_kernel(
-                &self.sched.cliques[par].cards,
-                &mut ws.beliefs[par],
-                &ws.messages[eidx],
-                edge.strides_for(par),
-            );
+            gather_mul_kernel(&mut ws.beliefs[par], edge.map_for(par), &ws.messages[eidx]);
         }
 
         let root_total: f64 = ws.beliefs[0].iter().sum();
@@ -709,12 +753,7 @@ impl JunctionTree {
             let edge = &self.sched.edges[eidx];
             let new_msg = &mut ws.scratch[eidx];
             new_msg.fill(0.0);
-            marginalize_kernel(
-                &self.sched.cliques[par].cards,
-                &ws.beliefs[par],
-                edge.strides_for(par),
-                new_msg,
-            );
+            scatter_add_kernel(&ws.beliefs[par], edge.map_for(par), new_msg);
             let z: f64 = new_msg.iter().sum();
             if z <= 0.0 {
                 return Err(Error::ImpossibleEvidence);
@@ -729,11 +768,10 @@ impl JunctionTree {
                 *u = if *old == 0.0 { 0.0 } else { new_val / *old };
                 *old = new_val;
             }
-            mul_broadcast_kernel(
-                &self.sched.cliques[child].cards,
+            gather_mul_kernel(
                 &mut ws.beliefs[child],
+                edge.map_for(child),
                 &ws.scratch[eidx],
-                edge.strides_for(child),
             );
         }
 
@@ -805,7 +843,13 @@ impl JunctionTree {
             scale_axis_kernel(&mut ws.beliefs[slot.clique], slot.stride, slot.card, mask);
         }
         let log_likelihood = self.collect(ws);
-        tally(0, 1, 0, self.sched.collect_schedule.len());
+        tally(
+            0,
+            1,
+            0,
+            self.sched.collect_schedule.len(),
+            self.sched.sweep_cells,
+        );
         log_likelihood
     }
 
@@ -928,21 +972,26 @@ impl JunctionTree {
                 reason: format!("state {state} out of range {}", slot.card),
             });
         }
-        // Validate the plan while marking the cliques it reaches.
+        // Validate the plan while marking the cliques it reaches and
+        // summing the cells its messages will pass.
         ws.on_plan.fill(false);
         ws.on_plan[slot.clique] = true;
+        let mut cells = 0;
         for &[from, to, edge] in plan {
             let (from, to, edge) = (from as usize, to as usize, edge as usize);
             let joins = self
                 .sched
                 .edges
                 .get(edge)
-                .is_some_and(|e| (e.a == from && e.b == to) || (e.a == to && e.b == from));
-            if !joins || !ws.on_plan[from] || ws.on_plan[to] {
-                return Err(Error::InvalidPlan(format!(
-                    "step {from} -> {to} over edge {edge} does not walk outward from clique {}",
-                    slot.clique
-                )));
+                .filter(|e| (e.a == from && e.b == to) || (e.a == to && e.b == from));
+            match joins {
+                Some(e) if ws.on_plan[from] && !ws.on_plan[to] => cells += e.message_cells(),
+                _ => {
+                    return Err(Error::InvalidPlan(format!(
+                        "step {from} -> {to} over edge {edge} does not walk outward from clique {}",
+                        slot.clique
+                    )))
+                }
             }
             ws.on_plan[to] = true;
         }
@@ -952,26 +1001,20 @@ impl JunctionTree {
         for &[from, to, edge] in plan {
             let (from, to, edge) = (from as usize, to as usize, edge as usize);
             let geometry = &self.sched.edges[edge];
-            ws.beliefs[to].copy_from_slice(&base.beliefs[to]);
             let update = &mut ws.scratch[edge];
             update.fill(0.0);
-            marginalize_kernel(
-                &self.sched.cliques[from].cards,
-                &ws.beliefs[from],
-                geometry.strides_for(from),
-                update,
-            );
+            scatter_add_kernel(&ws.beliefs[from], geometry.map_for(from), update);
             for (u, &old) in update.iter_mut().zip(&base.messages[edge]) {
                 *u = if old == 0.0 { 0.0 } else { *u / old };
             }
-            mul_broadcast_kernel(
-                &self.sched.cliques[to].cards,
+            gather_copy_mul_kernel(
                 &mut ws.beliefs[to],
+                &base.beliefs[to],
+                geometry.map_for(to),
                 &ws.scratch[edge],
-                geometry.strides_for(to),
             );
         }
-        tally(0, 0, 1, plan.len());
+        tally(0, 0, 1, plan.len(), cells);
         Ok(AbsorbedView { tree: self, ws })
     }
 
@@ -2116,6 +2159,22 @@ mod tests {
             })
             .is_err());
         assert!(jt.absorb_in(&base_ws, &mut ws, &plan, (v0, 9)).is_err());
+        // Each message reads its sending clique and writes its receiving
+        // one: a sweep over every edge touches each clique once per
+        // incident edge.
+        let sweep: u64 = jt
+            .sched
+            .edges
+            .iter()
+            .map(|e| (jt.sched.cliques[e.a].len + jt.sched.cliques[e.b].len) as u64)
+            .sum();
+        let absorbed: u64 = plan
+            .iter()
+            .map(|&[from, to, _]| {
+                (jt.sched.cliques[from as usize].len + jt.sched.cliques[to as usize].len) as u64
+            })
+            .sum();
+        assert!(absorbed > 0 && absorbed <= sweep);
         assert_eq!(
             work_counts().since(before),
             WorkCounts {
@@ -2123,11 +2182,43 @@ mod tests {
                 collect_queries: 1,
                 absorptions: 1,
                 messages: 2 * 2 * edges + edges + plan.len() as u64,
+                cells: 2 * 2 * sweep + sweep + absorbed,
             }
         );
         // Other threads keep their own tallies.
         let other = std::thread::spawn(work_counts).join().unwrap();
         assert_eq!(other, WorkCounts::default());
+    }
+
+    #[test]
+    fn cliques_past_the_index_maps_are_refused() {
+        // An 8×8 grid (parents: up and left) has treewidth 8, so every
+        // triangulation has a clique of at least 9 variables: 16^9 = 2^36
+        // cells, past what u32 index maps address. Compilation must say
+        // so before allocating any table.
+        let mut b = NetworkBuilder::new();
+        let states: Vec<String> = (0..16).map(|s| format!("s{s}")).collect();
+        let mut grid: Vec<VarId> = Vec::new();
+        for r in 0..8 {
+            for c in 0..8 {
+                let v = b.variable(format!("g{r}_{c}"), states.clone()).unwrap();
+                let mut parents = Vec::new();
+                if r > 0 {
+                    parents.push(grid[(r - 1) * 8 + c]);
+                }
+                if c > 0 {
+                    parents.push(grid[r * 8 + c - 1]);
+                }
+                let cells = 16usize.pow(parents.len() as u32 + 1);
+                b.cpt_flat(v, parents, vec![1.0 / 16.0; cells]).unwrap();
+                grid.push(v);
+            }
+        }
+        let err = JunctionTree::compile(&b.build().unwrap()).unwrap_err();
+        assert!(
+            matches!(&err, Error::CliqueTooLarge { variables } if variables.len() >= 9),
+            "{err:?}"
+        );
     }
 
     #[test]

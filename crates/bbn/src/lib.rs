@@ -60,3 +60,14 @@ pub use infer::{
 };
 pub use network::{Network, NetworkBuilder, VarId};
 pub use submodel::{extract_submodel, Submodel};
+
+/// The table kernels behind factor algebra and junction-tree messages,
+/// exposed so the property tests can pin the message kernels bit for bit
+/// to the stride kernels. Not part of the supported API.
+#[doc(hidden)]
+pub mod kernels {
+    pub use crate::factor::strides::{
+        aligned_strides, gather_copy_mul_kernel, gather_mul_kernel, index_map, marginalize_kernel,
+        mul_broadcast_kernel, scatter_add_kernel,
+    };
+}

@@ -2,6 +2,10 @@
 //! Every inference engine must agree with brute-force enumeration, and the
 //! learning algorithms must respect their monotonicity contracts.
 
+use abbd_bbn::kernels::{
+    aligned_strides, gather_copy_mul_kernel, gather_mul_kernel, index_map, marginalize_kernel,
+    mul_broadcast_kernel, scatter_add_kernel,
+};
 use abbd_bbn::learn::{fit_complete, fit_em, Case, DirichletPrior, EmConfig};
 use abbd_bbn::{
     enumerate_posteriors, forward_sample_cases, Evidence, Factor, JunctionTree, Network,
@@ -84,6 +88,59 @@ fn pick_evidence(net: &Network, seed: u64) -> Evidence {
         }
     }
     e
+}
+
+/// A random clique shape for the message-kernel tests: cards of 0–6 axes
+/// (1–5 states each), which axes the separator keeps, a sort key per axis
+/// that sets the separator's own axis order, and a seed for the tables.
+#[derive(Debug, Clone)]
+struct KernelShape {
+    cards: Vec<usize>,
+    keep: Vec<bool>,
+    order: Vec<u32>,
+    seed: u64,
+}
+
+fn kernel_shape() -> impl Strategy<Value = KernelShape> {
+    (0usize..=6)
+        .prop_flat_map(|axes| {
+            (
+                proptest::collection::vec(1usize..=5, axes),
+                proptest::collection::vec(proptest::bool::weighted(0.5), axes),
+                proptest::collection::vec(0u32..1000, axes),
+                0u64..1_000_000,
+            )
+        })
+        .prop_map(|(cards, keep, order, seed)| KernelShape {
+            cards,
+            keep,
+            order,
+            seed,
+        })
+}
+
+/// `len` table values in `[0, 1)` with about one in eight exactly zero,
+/// from a splitmix64 stream, so sums round in every cell.
+fn kernel_values(seed: u64, len: usize) -> Vec<f64> {
+    let mut state = seed;
+    (0..len)
+        .map(|_| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            if z.is_multiple_of(8) {
+                0.0
+            } else {
+                (z >> 11) as f64 / (1u64 << 53) as f64
+            }
+        })
+        .collect()
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -326,5 +383,42 @@ proptest! {
         let text = net.to_json().unwrap();
         let back = Network::from_json(&text).unwrap();
         prop_assert_eq!(net, back);
+    }
+
+    /// The junction tree's message kernels are the stride kernels, bit
+    /// for bit: marginalizing through an index map, multiplying through
+    /// it, and the copy fused with the multiply, on random clique shapes
+    /// and separators (the empty one included).
+    #[test]
+    fn message_kernels_are_bitwise_the_stride_kernels(shape in kernel_shape()) {
+        let axes: Vec<usize> = (0..shape.cards.len()).collect();
+        let mut sep: Vec<usize> = axes.iter().copied().filter(|&a| shape.keep[a]).collect();
+        sep.sort_by_key(|&a| (shape.order[a], a));
+        let sep_cards: Vec<usize> = sep.iter().map(|&a| shape.cards[a]).collect();
+        let cells: usize = shape.cards.iter().product();
+        let sep_len: usize = sep_cards.iter().product();
+        let strides = aligned_strides(&sep, &sep_cards, &axes);
+        let map = index_map(&shape.cards, &strides);
+        prop_assert_eq!(map.len(), cells);
+        prop_assert!(map.iter().all(|&m| (m as usize) < sep_len));
+
+        let table = kernel_values(shape.seed, cells);
+        let msg = kernel_values(shape.seed ^ 0x5555, sep_len);
+
+        let mut want = vec![0.0; sep_len];
+        marginalize_kernel(&shape.cards, &table, &strides, &mut want);
+        let mut got = vec![0.0; sep_len];
+        scatter_add_kernel(&table, &map, &mut got);
+        prop_assert_eq!(bits(&got), bits(&want), "scatter-add vs marginalize");
+
+        let mut want = table.clone();
+        mul_broadcast_kernel(&shape.cards, &mut want, &msg, &strides);
+        let mut got = table.clone();
+        gather_mul_kernel(&mut got, &map, &msg);
+        prop_assert_eq!(bits(&got), bits(&want), "gather-mul vs broadcast multiply");
+
+        let mut fused = vec![f64::NAN; cells];
+        gather_copy_mul_kernel(&mut fused, &table, &map, &msg);
+        prop_assert_eq!(bits(&fused), bits(&want), "fused copy-multiply vs copy then multiply");
     }
 }

@@ -1,6 +1,11 @@
 //! Inference-engine benchmarks: posterior queries on the regulator network
 //! and on synthetic chains, comparing variable elimination and junction-tree
 //! propagation (the Netica-replacement cost).
+//!
+//! Every group names its benches to [`Criterion::selects_any`] before its
+//! setup, so a filtered run (say `-- repeated_evidence/`) skips the
+//! regulator fits and compiles of the groups it does not time. Keep each
+//! list in step with the group's `bench_function` calls.
 
 use abbd_bbn::{Evidence, JunctionTree, Network, NetworkBuilder, VariableElimination};
 use abbd_core::{
@@ -39,6 +44,16 @@ fn chain(n: usize) -> Network {
 }
 
 fn bench_regulator_inference(c: &mut Criterion) {
+    if !c.selects_any(
+        "regulator_posteriors",
+        &[
+            "variable_elimination_all",
+            "junction_tree_compile",
+            "junction_tree_propagate",
+        ],
+    ) {
+        return;
+    }
     let (net, evidence) = regulator_setup();
     let mut group = c.benchmark_group("regulator_posteriors");
 
@@ -65,6 +80,17 @@ fn bench_regulator_inference(c: &mut Criterion) {
 /// `collect_only_log_likelihood` gets the same bits from the collect pass
 /// alone, the kernel of deduction's exoneration queries.
 fn bench_repeated_evidence(c: &mut Criterion) {
+    if !c.selects_any(
+        "repeated_evidence",
+        &[
+            "clone_and_rebuild_baseline",
+            "compiled_reused_workspace",
+            "compiled_log_likelihood_only",
+            "collect_only_log_likelihood",
+        ],
+    ) {
+        return;
+    }
     let (net, evidence) = regulator_setup();
     let jt = JunctionTree::compile(&net).unwrap();
     let mut group = c.benchmark_group("repeated_evidence");
@@ -111,6 +137,16 @@ fn bench_repeated_evidence(c: &mut Criterion) {
 /// serving loop pays between measurements; `closed_loop_d1_adaptive` is a
 /// whole case-study run (diagnose + score + apply until isolation).
 fn bench_sequential_voi(c: &mut Criterion) {
+    if !c.selects_any(
+        "sequential_voi",
+        &[
+            "rank_probes_all_latents",
+            "per_decision_scoring",
+            "closed_loop_d1_adaptive",
+        ],
+    ) {
+        return;
+    }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let engine = fitted.engine;
     let cases = regulator::cases::case_studies();
@@ -167,6 +203,16 @@ fn bench_sequential_voi(c: &mut Criterion) {
 /// compiled tree and per-level reused workspaces; `closed_loop_d1_lookahead2`
 /// is the whole case study planned at depth 2.
 fn bench_lookahead_voi(c: &mut Criterion) {
+    if !c.selects_any(
+        "lookahead_voi",
+        &[
+            "cost_weighted_per_decision",
+            "lookahead2_per_decision",
+            "closed_loop_d1_lookahead2",
+        ],
+    ) {
+        return;
+    }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let engine = fitted.engine;
     let cases = regulator::cases::case_studies();
@@ -231,6 +277,16 @@ fn bench_lookahead_voi(c: &mut Criterion) {
 /// the diagnosis kernel alone (propagation plus §IV-B deduction) over 16
 /// fixed, distinct fleet rows: the per-row work of a batch request.
 fn bench_session_api(c: &mut Criterion) {
+    if !c.selects_any(
+        "session_api",
+        &[
+            "session_rank_actions",
+            "serve_request_round",
+            "diagnose_fleet_rows16",
+        ],
+    ) {
+        return;
+    }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let compiled = Arc::clone(fitted.engine.compiled());
     let cases = regulator::cases::case_studies();
@@ -328,6 +384,19 @@ fn fleet_rows16(compiled: &CompiledModel) -> Vec<(abbd_core::Observation, Eviden
 /// evidence sets across the worker pool per request (diagnosis only —
 /// divide by 16 for the per-device cost).
 fn bench_server_throughput(c: &mut Criterion) {
+    if !c.selects_any(
+        "server_throughput",
+        &[
+            "stateless_round_wire",
+            "session_round_wire",
+            "session_round_wire_binary_delta",
+            "store_round_inprocess",
+            "batch_diagnose_16_wire",
+            "batch_diagnose_16_wire_binary",
+        ],
+    ) {
+        return;
+    }
     use abbd_core::Observation;
     use abbd_server::{Client, ModelRegistry, OpenSessionReply, Server, ServerConfig};
 
@@ -451,6 +520,17 @@ fn bench_server_throughput(c: &mut Criterion) {
 /// `write_json`/`write_binary` straight into a byte buffer and decode
 /// with `read_from` straight off it.
 fn bench_wire_serialization(c: &mut Criterion) {
+    if !c.selects_any(
+        "wire_serialization",
+        &[
+            "report_encode_json_streaming",
+            "report_encode_binary_streaming",
+            "report_decode_json_streaming",
+            "report_decode_binary_streaming",
+        ],
+    ) {
+        return;
+    }
     use abbd_server::{codec, SessionReport};
     use serde::Serialize;
 
@@ -510,6 +590,17 @@ fn bench_wire_serialization(c: &mut Criterion) {
 /// block session (later descents into the same block are pure cache, as
 /// the zero-alloc harness pins).
 fn bench_hierarchical(c: &mut Criterion) {
+    if !c.selects_any(
+        "hierarchical",
+        &[
+            "flat100_per_decision",
+            "root_per_decision",
+            "descended_block_per_decision",
+            "descend_first_visit",
+        ],
+    ) {
+        return;
+    }
     let config = BoardConfig::default();
     let flat = CompiledModel::compile(board::flat_model(&config).expect("flat board builds"))
         .expect("flat board compiles")
@@ -581,6 +672,17 @@ fn bench_hierarchical(c: &mut Criterion) {
 /// while a background thread runs that cycle in a loop, the hot-swap
 /// design's claim that learning never blocks serving.
 fn bench_fleet_learning(c: &mut Criterion) {
+    if !c.selects_any(
+        "fleet_learning",
+        &[
+            "aggregate_record_per_trace",
+            "session_round_wire_lifecycle",
+            "refit_to_promotion",
+            "serve_round_during_refit",
+        ],
+    ) {
+        return;
+    }
     use abbd_core::conformance::self_references;
     use abbd_core::{ModelLifecycle, Observation, RefitPolicy, TraceAggregator};
     use abbd_server::{Client, ModelRegistry, OpenSessionReply, Server, ServerConfig};
@@ -688,6 +790,16 @@ fn bench_fleet_learning(c: &mut Criterion) {
 /// once per group at a reduced sample count; per-decision numbers only
 /// depend on the model's shape (22 hypothesis states × 60 observables).
 fn bench_scenario_engine(c: &mut Criterion) {
+    if !c.selects_any(
+        "scenario_engine",
+        &[
+            "sample_fleet_16",
+            "grid60_per_decision",
+            "grid60_closed_loop",
+        ],
+    ) {
+        return;
+    }
     use abbd_designs::regulator::grid;
     use abbd_scenarios::{sample_model_population, McFitConfig};
 

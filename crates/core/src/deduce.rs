@@ -364,6 +364,10 @@ fn any_faulty<'a>(
 /// * `failing_observables` lists observable variables whose source
 ///   measurement failed its ATE limits — candidates of last resort.
 ///
+/// Every latent key of `fault_mass` must be one of the compiled model's
+/// latents: suspects are tracked by [`VarId`], and a seed's id is found
+/// among them.
+///
 /// The exoneration queries collect through `ws`, which is left
 /// uncalibrated when any query runs.
 ///
@@ -376,7 +380,7 @@ pub(crate) fn deduce_candidates(
     ws: &mut PropagationWorkspace,
     fault_mass: &BTreeMap<String, f64>,
     classes: &BTreeMap<String, HealthClass>,
-    failing_observables: &[String],
+    failing_observables: &[VarId],
     policy: &DeductionPolicy,
 ) -> Result<Vec<Candidate>> {
     policy.validate()?;
@@ -399,18 +403,32 @@ pub(crate) fn deduce_candidates(
         }
     }
 
-    // Walk upwards through non-healthy latent ancestors.
-    let model = round.compiled.model();
+    // Walk upwards through non-healthy latent ancestors, by id.
+    let network = round.compiled.model().network();
     let table = round.compiled.ancestry();
-    let mut suspects: Vec<&str> = Vec::new();
-    let mut stack: Vec<&str> = seeds.clone();
-    while let Some(v) = stack.pop() {
-        if !suspects.contains(&v) {
-            suspects.push(v);
-            for &anc in table.ancestors(model.var(v)?) {
-                if let Some((key, _)) = fault_mass.get_key_value(model.network().name(anc)) {
-                    if class_of(key) != HealthClass::Healthy && !suspects.contains(&key.as_str()) {
-                        stack.push(key.as_str());
+    let latent_id = |name: &str| {
+        round
+            .compiled
+            .latent_vars()
+            .iter()
+            .find(|(latent, _)| latent == name)
+            .map(|&(_, id)| id)
+            .ok_or_else(|| Error::UnknownVariable(name.into()))
+    };
+    let mut suspects: Vec<(&str, VarId)> = Vec::new();
+    let mut stack: Vec<(&str, VarId)> = seeds
+        .iter()
+        .map(|&name| Ok((name, latent_id(name)?)))
+        .collect::<Result<_>>()?;
+    while let Some((v, id)) = stack.pop() {
+        if !suspects.iter().any(|&(_, s)| s == id) {
+            suspects.push((v, id));
+            for &anc in table.ancestors(id) {
+                if let Some((key, _)) = fault_mass.get_key_value(network.name(anc)) {
+                    if class_of(key) != HealthClass::Healthy
+                        && !suspects.iter().any(|&(_, s)| s == anc)
+                    {
+                        stack.push((key.as_str(), anc));
                     }
                 }
             }
@@ -420,8 +438,7 @@ pub(crate) fn deduce_candidates(
     // Exonerate suspects explained by their ancestry or by the test
     // conditions themselves.
     let mut memo = Exoneration::new(table);
-    let mut survives = |v: &str| -> Result<Option<(f64, f64)>> {
-        let var = model.var(v)?;
+    let mut survives = |var: VarId| -> Result<Option<(f64, f64)>> {
         let p_anc = ancestor_fault_probability(round, ws, &mut memo, var)?;
         let p_cond = conditional_fault_expectation(round, var)?;
         let kept = p_anc < policy.faulty_threshold && p_cond < policy.faulty_threshold;
@@ -433,8 +450,8 @@ pub(crate) fn deduce_candidates(
             .expect("fault mass has no NaN")
     };
     let mut candidates: Vec<Candidate> = Vec::new();
-    for &v in &suspects {
-        if let Some((p_anc, p_cond)) = survives(v)? {
+    for &(v, id) in &suspects {
+        if let Some((p_anc, p_cond)) = survives(id)? {
             candidates.push(Candidate {
                 variable: v.to_string(),
                 fault_mass: fault_mass[v],
@@ -449,10 +466,10 @@ pub(crate) fn deduce_candidates(
     // Self-candidates: failing observables with healthy-looking ancestry
     // whose failure is not the expected outcome of the conditions.
     let mut self_candidates: Vec<Candidate> = Vec::new();
-    for name in failing_observables {
-        if let Some((p_anc, p_cond)) = survives(name)? {
+    for &var in failing_observables {
+        if let Some((p_anc, p_cond)) = survives(var)? {
             self_candidates.push(Candidate {
-                variable: name.clone(),
+                variable: network.name(var).into(),
                 fault_mass: 1.0 - p_anc,
                 class: HealthClass::Faulty,
                 ancestor_fault_probability: p_anc,
@@ -579,8 +596,12 @@ mod tests {
             .iter()
             .map(|(name, &mass)| (name.clone(), policy.classify(mass)))
             .collect();
+        let failing: Vec<VarId> = failing
+            .iter()
+            .map(|name| c.model().var(name).unwrap())
+            .collect();
         with_round(c, ev, |round, ws| {
-            deduce_candidates(round, ws, fm, &classes, failing, policy).unwrap()
+            deduce_candidates(round, ws, fm, &classes, &failing, policy).unwrap()
         })
     }
 

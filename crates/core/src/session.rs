@@ -553,8 +553,11 @@ pub struct CompiledModel {
     latents: Vec<(String, VarId)>,
     /// Observable variables, in spec order: the default test candidates.
     observables: Vec<(String, VarId)>,
+    /// Every spec variable's network id, in spec order: the order a
+    /// diagnosis lists posteriors in.
+    spec_vars: Vec<VarId>,
     /// The spec position of every network variable, indexed by
-    /// [`VarId::index`]: where a diagnosis keeps that variable's posterior.
+    /// [`VarId::index`]: the inverse of `spec_vars`.
     spec_index: Vec<usize>,
     /// Deduction's per-variable fault states, healthy masks and interned
     /// latent-ancestor sets.
@@ -587,9 +590,16 @@ impl CompiledModel {
             .iter()
             .map(|name| Ok((name.to_string(), model.var(name)?)))
             .collect::<Result<_>>()?;
+        let spec_vars: Vec<VarId> = model
+            .circuit_model()
+            .spec()
+            .variables()
+            .iter()
+            .map(|v| model.var(&v.name))
+            .collect::<Result<_>>()?;
         let mut spec_index = vec![0; model.network().var_count()];
-        for (i, v) in model.circuit_model().spec().variables().iter().enumerate() {
-            spec_index[model.var(&v.name)?.index()] = i;
+        for (i, id) in spec_vars.iter().enumerate() {
+            spec_index[id.index()] = i;
         }
         let ancestry = AncestryTable::new(&model)?;
         let latent_ids: Vec<VarId> = latents.iter().map(|&(_, id)| id).collect();
@@ -600,6 +610,7 @@ impl CompiledModel {
             policy: DeductionPolicy::default(),
             latents,
             observables,
+            spec_vars,
             spec_index,
             ancestry,
             voi_plans,
@@ -798,9 +809,8 @@ impl CompiledModel {
         let log_evidence = cal.log_likelihood();
 
         let circuit_model = self.model.circuit_model();
-        let mut posteriors = Vec::new();
-        for v in circuit_model.spec().variables() {
-            let id = self.model.var(&v.name)?;
+        let mut posteriors = Vec::with_capacity(self.spec_vars.len());
+        for (v, &id) in circuit_model.spec().variables().iter().zip(&self.spec_vars) {
             posteriors.push((v.name.clone(), cal.posterior(id).map_err(Error::Bbn)?));
         }
 
@@ -817,12 +827,15 @@ impl CompiledModel {
             .iter()
             .map(|(n, &m)| (n.clone(), policy.classify(m)))
             .collect();
-        let observables = circuit_model.observables();
-        let failing: Vec<String> = observation
+        let failing: Vec<VarId> = observation
             .failing()
             .iter()
-            .filter(|name| observables.contains(&name.as_str()))
-            .cloned()
+            .filter_map(|name| {
+                self.observables
+                    .iter()
+                    .find(|(observable, _)| observable == name)
+                    .map(|&(_, id)| id)
+            })
             .collect();
         let round = Round {
             compiled: self,

@@ -10,7 +10,9 @@
 //! - `--test` (what `cargo test` passes to `harness = false` bench
 //!   targets) runs every closure once and skips timing, so benches cannot
 //!   bit-rot without failing the test suite;
-//! - a bare (non-flag) CLI argument filters benches by substring;
+//! - a bare (non-flag) CLI argument filters benches by substring, and
+//!   [`Criterion::selects_any`] tells a bench function whether the filter
+//!   keeps any of its benches, so it can skip its setup when not;
 //! - `CRITERION_JSON=<path>` writes all results to `<path>` as JSON,
 //!   one row per bench with its spread (p10/p90, median absolute
 //!   deviation) and a machine stamp (`nproc`, short git revision);
@@ -170,6 +172,13 @@ impl Criterion {
                 );
             }
         }
+    }
+
+    /// `true` when the CLI filter keeps at least one of `benches` in
+    /// `group` (always, without a filter). Bench functions ask before
+    /// their setup, so a filtered run pays only for the groups it times.
+    pub fn selects_any(&self, group: &str, benches: &[&str]) -> bool {
+        benches.iter().any(|bench| self.wants(group, bench))
     }
 
     fn wants(&self, group: &str, bench: &str) -> bool {
@@ -367,5 +376,16 @@ mod tests {
             assert!(r.p10_ns <= r.median_ns && r.median_ns <= r.p90_ns, "{r:?}");
             assert!(r.mad_ns >= 0.0);
         }
+    }
+
+    #[test]
+    fn filter_selects_groups_by_their_benches() {
+        let mut c = Criterion::default();
+        assert!(c.selects_any("g", &["a"]), "no filter keeps everything");
+        c.filter = Some("g/b".into());
+        assert!(c.selects_any("g", &["a", "b"]));
+        assert!(!c.selects_any("g", &["a"]));
+        assert!(!c.selects_any("h", &["b"]));
+        assert!(!c.selects_any("g", &[]));
     }
 }

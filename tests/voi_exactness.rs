@@ -519,6 +519,8 @@ fn ranking_work(session: &mut DiagnosisSession) -> WorkCounts {
 /// exactly: one absorption per scored outcome, each passing its plan's
 /// edges and nothing else. The full-propagation scorer passed two
 /// messages per tree edge per outcome; the walk must need at most half.
+/// The clique cells those messages read and write are pinned as a walk
+/// total: they depend on the plans and clique shapes, not on the kernel.
 #[test]
 fn myopic_decisions_pass_at_most_half_the_messages() {
     let compiled = serving_regulator();
@@ -533,9 +535,10 @@ fn myopic_decisions_pass_at_most_half_the_messages() {
     let mut ws = jt.make_workspace();
     let before = jointree_work_counts();
     jt.propagate_in(&mut ws, &Evidence::new()).unwrap();
-    let full = jointree_work_counts().since(before).messages;
+    let full = jointree_work_counts().since(before);
 
     let (mut decisions, mut outcomes, mut absorbed, mut propagated) = (0, 0u64, 0u64, 0u64);
+    let (mut cells, mut propagated_cells) = (0u64, 0u64);
     for case in case_studies() {
         let mut s =
             DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
@@ -568,6 +571,7 @@ fn myopic_decisions_pass_at_most_half_the_messages() {
                     collect_queries: 0,
                     absorptions: hyps,
                     messages,
+                    cells: work.cells,
                 },
                 "{} before {name}",
                 case.id
@@ -575,15 +579,20 @@ fn myopic_decisions_pass_at_most_half_the_messages() {
             decisions += 1;
             outcomes += hyps;
             absorbed += messages;
-            propagated += hyps * full;
+            propagated += hyps * full.messages;
+            cells += work.cells;
+            propagated_cells += hyps * full.cells;
             s.observe(name, state).unwrap();
         }
     }
     println!(
         "d1–d5 walk: {decisions} decisions, {outcomes} hypotheticals, \
-         {absorbed} messages absorbed vs {propagated} by full propagation"
+         {absorbed} messages absorbed vs {propagated} by full propagation, \
+         {cells} clique cells vs {propagated_cells}"
     );
     assert_eq!(decisions, 25);
+    assert_eq!(absorbed, 3_060);
+    assert_eq!(cells, 868_320);
     assert!(
         2 * absorbed <= propagated,
         "{absorbed} messages is not half of {propagated}"
