@@ -225,22 +225,31 @@ pub fn marginalize_kernel(cards: &[usize], src: &[f64], out_str: &[usize], out: 
 
 /// The index map of a table over `cards` into a sub-table with broadcast
 /// strides `sub_str` (from [`aligned_strides`]): entry `i` is the sub-table
-/// cell that table cell `i` marginalizes into or is multiplied by. Walks
-/// the odometer once, so message passing never has to.
+/// cell that table cell `i` marginalizes into or is multiplied by, as the
+/// odometer would reach it. Built once, so message passing never walks
+/// the odometer.
 ///
 /// # Panics
 ///
 /// Panics when a sub-table index does not fit `u32`; the junction tree
 /// refuses such cliques when it compiles.
 pub fn index_map(cards: &[usize], sub_str: &[usize]) -> Vec<u32> {
-    check_axes(cards);
-    let total = table_len(cards);
-    let mut assign = [0usize; MAX_AXES];
-    let mut idx = [0usize; 1];
-    let mut map = Vec::with_capacity(total);
-    for _ in 0..total {
-        map.push(u32::try_from(idx[0]).expect("sub-table cell fits u32"));
-        step(cards, &mut assign, [sub_str], &mut idx);
+    debug_assert_eq!(cards.len(), sub_str.len());
+    let mut map = Vec::with_capacity(table_len(cards));
+    map.push(0u32);
+    // Row-major order: each axis splits every cell of the table over the
+    // axes before it into `card` cells. Expanding in place from the back
+    // writes cell `j`'s children at `j * card..` only after reading it.
+    for (&card, &stride) in cards.iter().zip(sub_str) {
+        let prefix = map.len();
+        map.resize(prefix * card, 0);
+        for j in (0..prefix).rev() {
+            let base = map[j] as usize;
+            for state in (0..card).rev() {
+                map[j * card + state] =
+                    u32::try_from(base + state * stride).expect("sub-table cell fits u32");
+            }
+        }
     }
     map
 }
@@ -411,6 +420,22 @@ mod tests {
             }
             assert!((out[i0 * 2 + i2] - expect).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn index_map_follows_the_odometer() {
+        let cards = [2usize, 1, 3, 2];
+        for sub_str in [[0, 0, 0, 0], [6, 0, 2, 1], [1, 0, 0, 2], [0, 0, 1, 3]] {
+            let mut assign = [0usize; MAX_AXES];
+            let mut idx = [0usize; 1];
+            let mut want = Vec::new();
+            for _ in 0..table_len(&cards) {
+                want.push(idx[0] as u32);
+                step(&cards, &mut assign, [&sub_str], &mut idx);
+            }
+            assert_eq!(index_map(&cards, &sub_str), want, "{sub_str:?}");
+        }
+        assert_eq!(index_map(&[], &[]), vec![0]);
     }
 
     #[test]
