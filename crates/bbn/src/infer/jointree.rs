@@ -23,10 +23,10 @@
 //! belief (`ws[i] = base[i] * update[map[i]]`). The loops visit cells in
 //! the row-major order the stride kernels walk, so each cell sees the same
 //! additions in the same order and the same single product: message
-//! passing is bitwise what the odometer computed. The maps cost one `u32`
-//! per clique cell per incident edge (11 KB for the fitted regulator), and
-//! compilation refuses a clique of more than 2^32 cells
-//! ([`Error::CliqueTooLarge`]) rather than index it.
+//! passing is bitwise what the stride kernels compute. The maps cost one
+//! `u32` per clique cell per incident edge, and compilation refuses a
+//! clique of more than 2^32 cells ([`Error::CliqueTooLarge`]) rather than
+//! index it.
 //!
 //! [`JunctionTree::propagate_in`] is then a flat loop over that schedule
 //! through a reusable [`PropagationWorkspace`], and a query performs **zero
