@@ -1230,21 +1230,6 @@ impl CalibratedView<'_, '_> {
         Ok(out)
     }
 
-    /// Writes the posterior `P(var | e)` into `out` and returns its
-    /// Shannon entropy `H(var | e)` in nats — the single-pass
-    /// outcome-distribution read of value-of-information and lookahead
-    /// planning, which needs both the distribution (to weight hypothetical
-    /// outcomes) and the entropy (to score the candidate itself) without
-    /// extracting the marginal twice.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CalibratedView::posterior_into`].
-    pub fn outcome_distribution_into(&self, var: VarId, out: &mut [f64]) -> Result<f64> {
-        self.posterior_into(var, out)?;
-        Ok(entropy_nats(out))
-    }
-
     /// Shannon entropy `H(var | e)` of one posterior marginal, in nats.
     ///
     /// This is the restricted-posterior scoring primitive: reading the
@@ -1878,30 +1863,6 @@ mod tests {
             jt.propagate_hypotheticals_in(&mut ws, &base, &[(v0, 0), (v6, 0)]),
             Err(Error::InvalidEvidence { .. })
         ));
-    }
-
-    #[test]
-    fn outcome_distribution_returns_posterior_and_entropy_together() {
-        let net = seven_var_net();
-        let jt = JunctionTree::compile(&net).unwrap();
-        let v0 = net.var("v0").unwrap();
-        let v6 = net.var("v6").unwrap();
-        let mut e = Evidence::new();
-        e.observe(v6, 1);
-        let mut ws = jt.make_workspace();
-        let view = jt.propagate_in(&mut ws, &e).unwrap();
-        let mut dist = [0.0f64; 2];
-        let h = view.outcome_distribution_into(v0, &mut dist).unwrap();
-        assert_eq!(dist.to_vec(), view.posterior(v0).unwrap());
-        assert_eq!(h, view.posterior_entropy(v0).unwrap());
-        // Observed variables: point mass, zero entropy.
-        let h6 = view.outcome_distribution_into(v6, &mut dist).unwrap();
-        assert_eq!(h6, 0.0);
-        assert_eq!(dist[1], 1.0);
-        // Wrong-length buffers are rejected like posterior_into.
-        assert!(view
-            .outcome_distribution_into(v0, &mut [0.0f64; 3])
-            .is_err());
     }
 
     #[test]

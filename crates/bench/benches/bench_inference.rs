@@ -148,7 +148,7 @@ fn bench_sequential_voi(c: &mut Criterion) {
         return;
     }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let engine = fitted.engine;
+    let compiled = fitted.engine;
     let cases = regulator::cases::case_studies();
     let d1 = &cases[0];
     let observation = d1.observation();
@@ -156,8 +156,7 @@ fn bench_sequential_voi(c: &mut Criterion) {
 
     group.bench_function("rank_probes_all_latents", |b| {
         let mut session =
-            DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::default())
-                .unwrap();
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
         session.observe_all(&observation).unwrap();
         let menu: Vec<Action> = session
             .compiled()
@@ -172,8 +171,7 @@ fn bench_sequential_voi(c: &mut Criterion) {
     });
     group.bench_function("per_decision_scoring", |b| {
         let mut diagnoser =
-            DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::default())
-                .unwrap();
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
         for (name, state) in d1.controls {
             diagnoser.observe(name, state).unwrap();
         }
@@ -185,7 +183,7 @@ fn bench_sequential_voi(c: &mut Criterion) {
     group.bench_function("closed_loop_d1_adaptive", |b| {
         b.iter(|| {
             regulator::adaptive::adaptive_case_study(
-                black_box(&engine),
+                black_box(&compiled),
                 d1,
                 StoppingPolicy::default(),
             )
@@ -214,15 +212,14 @@ fn bench_lookahead_voi(c: &mut Criterion) {
         return;
     }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let engine = fitted.engine;
+    let compiled = fitted.engine;
     let cases = regulator::cases::case_studies();
     let d1 = &cases[0];
     let mut group = c.benchmark_group("lookahead_voi");
 
     group.bench_function("cost_weighted_per_decision", |b| {
         let mut diagnoser =
-            DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::default())
-                .unwrap();
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
         diagnoser.set_strategy(Strategy::CostWeighted).unwrap();
         diagnoser
             .set_cost_model(regulator::adaptive::reference_cost_model())
@@ -237,8 +234,7 @@ fn bench_lookahead_voi(c: &mut Criterion) {
     });
     group.bench_function("lookahead2_per_decision", |b| {
         let mut diagnoser =
-            DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::default())
-                .unwrap();
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
         diagnoser
             .set_strategy(Strategy::Lookahead { depth: 2 })
             .unwrap();
@@ -253,7 +249,7 @@ fn bench_lookahead_voi(c: &mut Criterion) {
     group.bench_function("closed_loop_d1_lookahead2", |b| {
         b.iter(|| {
             regulator::adaptive::traced_case_study(
-                black_box(&engine),
+                black_box(&compiled),
                 d1,
                 StoppingPolicy::default(),
                 Strategy::Lookahead { depth: 2 },
@@ -288,7 +284,7 @@ fn bench_session_api(c: &mut Criterion) {
         return;
     }
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
     let cases = regulator::cases::case_studies();
     let d1 = &cases[0];
     let mut controls = abbd_core::Observation::new();
@@ -359,7 +355,12 @@ fn fleet_rows16(compiled: &CompiledModel) -> Vec<(abbd_core::Observation, Eviden
         }
         let evidence = compiled.evidence_from(&observation).expect("evidence maps");
         if compiled
-            .diagnose_in(&mut compiled.make_workspace(), &observation, &evidence)
+            .diagnose_with_policy_in(
+                &mut compiled.make_workspace(),
+                &observation,
+                &evidence,
+                compiled.policy(),
+            )
             .is_ok()
         {
             rows.push((observation, evidence));
@@ -401,7 +402,7 @@ fn bench_server_throughput(c: &mut Criterion) {
     use abbd_server::{Client, ModelRegistry, OpenSessionReply, Server, ServerConfig};
 
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
     let registry = ModelRegistry::new()
         .insert("regulator", Arc::clone(&compiled))
         .freeze();
@@ -535,7 +536,7 @@ fn bench_wire_serialization(c: &mut Criterion) {
     use serde::Serialize;
 
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
     let case = &regulator::cases::case_studies()[0];
     let request = SessionRequest::new(case.observation());
     let report = compiled.serve(&request).expect("round serves");
@@ -689,7 +690,7 @@ fn bench_fleet_learning(c: &mut Criterion) {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
     let observations: Vec<abbd_core::Observation> =
         fitted.cases.iter().map(Observation::from).collect();
     let d1 = &regulator::cases::case_studies()[0];

@@ -51,11 +51,13 @@ fn bench_pipeline_stages(c: &mut Criterion) {
         b.iter(|| fitted.engine.diagnose(black_box(&observation)).unwrap())
     });
     group.bench_function("diagnose_one_observation_reused_workspace", |b| {
-        let mut ws = fitted.engine.make_workspace();
+        let compiled = &fitted.engine;
+        let mut ws = compiled.make_workspace();
         b.iter(|| {
-            fitted
-                .engine
-                .diagnose_with(&mut ws, black_box(&observation))
+            let observation = black_box(&observation);
+            let evidence = compiled.evidence_from(observation).unwrap();
+            compiled
+                .diagnose_with_policy_in(&mut ws, observation, &evidence, compiled.policy())
                 .unwrap()
         })
     });

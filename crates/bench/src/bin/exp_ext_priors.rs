@@ -14,7 +14,7 @@
 use abbd_baselines::{accuracy_at_k, group_by_device};
 use abbd_bbn::learn::EmConfig;
 use abbd_bench::BbnDeviceDiagnoser;
-use abbd_core::{DiagnosticEngine, ExpertKnowledge, LearnAlgorithm, ModelBuilder};
+use abbd_core::{CompiledModel, ExpertKnowledge, LearnAlgorithm, ModelBuilder};
 use abbd_designs::regulator::{self, expert::rough_expert_knowledge};
 
 fn main() {
@@ -57,8 +57,8 @@ fn main() {
         ("data-only", data_only),
         ("combined", combined),
     ] {
-        let engine = DiagnosticEngine::new(model).expect("engine compiles");
-        let adapter = BbnDeviceDiagnoser::new(&engine);
+        let compiled = CompiledModel::compile(model).expect("model compiles");
+        let adapter = BbnDeviceDiagnoser::new(&compiled);
         let a1 = accuracy_at_k(&adapter, &test_sigs, 1);
         let a2 = accuracy_at_k(&adapter, &test_sigs, 2);
         println!("{name:>18} {a1:>6.3} {a2:>6.3}");

@@ -14,11 +14,9 @@ fn main() {
         regulator::fit(70, 2010, regulator::default_algorithm()).expect("regulator pipeline");
     println!("EXT-PROBES — expected information gain of probing each internal block\n");
     for case in case_studies() {
-        let mut session = DiagnosisSession::new(
-            Arc::clone(fitted.engine.compiled()),
-            StoppingPolicy::default(),
-        )
-        .expect("session opens");
+        let mut session =
+            DiagnosisSession::new(Arc::clone(&fitted.engine), StoppingPolicy::default())
+                .expect("session opens");
         session
             .observe_all(&case.observation())
             .expect("case seeds");

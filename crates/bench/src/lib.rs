@@ -7,25 +7,25 @@
 #![warn(missing_docs)]
 
 use abbd_baselines::{DeviceSignature, Diagnoser, Ranking};
-use abbd_core::{DiagnosticEngine, Observation};
+use abbd_core::{CompiledModel, Observation};
 use abbd_designs::regulator::program::{suite_plans, SuitePlan, OBSERVED_VARS};
 use std::collections::BTreeMap;
 
-/// Adapts the block-level Bayesian diagnostic engine to the device-level
+/// Adapts the block-level Bayesian diagnosis to the device-level
 /// [`Diagnoser`] interface used by the baselines: each suite of the
 /// signature with deviating outputs is diagnosed separately, and candidate
 /// scores are accumulated per block.
 #[derive(Debug)]
 pub struct BbnDeviceDiagnoser<'a> {
-    engine: &'a DiagnosticEngine,
+    compiled: &'a CompiledModel,
     plans: Vec<SuitePlan>,
 }
 
 impl<'a> BbnDeviceDiagnoser<'a> {
-    /// Wraps a fitted regulator engine.
-    pub fn new(engine: &'a DiagnosticEngine) -> Self {
+    /// Wraps a compiled regulator model.
+    pub fn new(compiled: &'a CompiledModel) -> Self {
         BbnDeviceDiagnoser {
-            engine,
+            compiled,
             plans: suite_plans(),
         }
     }
@@ -67,7 +67,7 @@ impl Diagnoser for BbnDeviceDiagnoser<'_> {
             let Some(obs) = self.observation_for(signature, plan) else {
                 continue;
             };
-            let Ok(diagnosis) = self.engine.diagnose(&obs) else {
+            let Ok(diagnosis) = self.compiled.diagnose(&obs) else {
                 continue;
             };
             for candidate in diagnosis.candidates() {

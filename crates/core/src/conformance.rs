@@ -13,7 +13,7 @@
 //!   from `tests/golden_traces.rs` so every corpus consumer reports
 //!   mismatches identically.
 
-use crate::engine::Observation;
+use crate::diagnosis::Observation;
 use crate::error::Result;
 use crate::session::{CompiledModel, SessionRequest};
 use serde::{Deserialize, Serialize};

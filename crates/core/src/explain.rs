@@ -3,11 +3,12 @@
 //! A diagnostic report that names a block without saying *why* is hard for
 //! a failure analyst to trust. This module quantifies the contribution of
 //! every observed finding to a target block's posterior by leave-one-out
-//! retraction: drop the finding, re-propagate through the engine's compiled
+//! retraction: drop the finding, re-propagate through the model's compiled
 //! junction tree, and measure how far the target's posterior moves back.
 
-use crate::engine::{DiagnosticEngine, Observation};
+use crate::diagnosis::Observation;
 use crate::error::{Error, Result};
+use crate::session::CompiledModel;
 use serde::{Deserialize, Serialize};
 
 /// The influence of one observed finding on a target variable.
@@ -29,7 +30,7 @@ fn total_variation(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
-impl DiagnosticEngine {
+impl CompiledModel {
     /// Ranks the observation's findings by their leave-one-out influence on
     /// `target`'s posterior (most influential first).
     ///
@@ -39,7 +40,7 @@ impl DiagnosticEngine {
     /// propagates observation-validation and propagation errors.
     pub fn explain(&self, observation: &Observation, target: &str) -> Result<Vec<FindingImpact>> {
         let target_id = self.model().var(target)?;
-        let jt = self.compiled().jt();
+        let jt = self.jt();
         let mut ws = self.make_workspace();
         let full_evidence = self.evidence_from(observation)?;
         let full = jt
@@ -81,7 +82,7 @@ mod tests {
     use abbd_bbn::VariableElimination;
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 
-    fn engine() -> DiagnosticEngine {
+    fn compiled_model() -> CompiledModel {
         let var = |name: &str, ftype| VariableSpec {
             name: name.into(),
             ftype,
@@ -110,15 +111,15 @@ mod tests {
             .with_expert(e)
             .build_expert_only()
             .unwrap();
-        DiagnosticEngine::new(dm).unwrap()
+        CompiledModel::compile(dm).unwrap()
     }
 
     #[test]
     fn relevant_finding_dominates_irrelevant_one() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out_main", 0).set("out_aux", 1);
-        let impacts = eng.explain(&obs, "bias").unwrap();
+        let impacts = compiled.explain(&obs, "bias").unwrap();
         assert_eq!(impacts.len(), 2);
         assert_eq!(impacts[0].variable, "out_main", "{impacts:?}");
         assert!(impacts[0].impact > 0.4, "{impacts:?}");
@@ -132,29 +133,29 @@ mod tests {
 
     #[test]
     fn target_itself_is_excluded() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out_main", 0).set("out_aux", 0);
-        let impacts = eng.explain(&obs, "out_main").unwrap();
+        let impacts = compiled.explain(&obs, "out_main").unwrap();
         assert!(impacts.iter().all(|i| i.variable != "out_main"));
     }
 
     #[test]
     fn unknown_target_is_rejected() {
-        let eng = engine();
+        let compiled = compiled_model();
         let obs = Observation::new();
         assert!(matches!(
-            eng.explain(&obs, "ghost"),
+            compiled.explain(&obs, "ghost"),
             Err(Error::UnknownVariable(_))
         ));
     }
 
     #[test]
     fn impacts_are_sorted_descending() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out_main", 0).set("out_aux", 0);
-        let impacts = eng.explain(&obs, "bias").unwrap();
+        let impacts = compiled.explain(&obs, "bias").unwrap();
         for w in impacts.windows(2) {
             assert!(w[0].impact >= w[1].impact);
         }
@@ -162,11 +163,11 @@ mod tests {
 
     #[test]
     fn explain_reuses_the_compiled_tree() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out_main", 0).set("out_aux", 1);
         let before = abbd_bbn::jointree_compile_count();
-        eng.explain(&obs, "bias").unwrap();
+        compiled.explain(&obs, "bias").unwrap();
         assert_eq!(
             abbd_bbn::jointree_compile_count(),
             before,
@@ -176,16 +177,16 @@ mod tests {
 
     #[test]
     fn retracted_posteriors_match_the_variable_elimination_oracle() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out_main", 0).set("out_aux", 1);
-        let ve = VariableElimination::new(eng.model().network());
-        let full = eng.evidence_from(&obs).unwrap();
+        let ve = VariableElimination::new(compiled.model().network());
+        let full = compiled.evidence_from(&obs).unwrap();
         for target in ["bias", "load", "out_main"] {
-            let target_id = eng.model().var(target).unwrap();
-            for impact in eng.explain(&obs, target).unwrap() {
+            let target_id = compiled.model().var(target).unwrap();
+            for impact in compiled.explain(&obs, target).unwrap() {
                 let mut retracted = full.clone();
-                retracted.retract(eng.model().var(&impact.variable).unwrap());
+                retracted.retract(compiled.model().var(&impact.variable).unwrap());
                 let expect = ve.posterior(&retracted, target_id).unwrap();
                 for (got, want) in impact.posterior_without.iter().zip(&expect) {
                     assert!(

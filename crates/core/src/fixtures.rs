@@ -7,7 +7,6 @@
 //! the model lives here once.
 
 use crate::builder::{ExpertKnowledge, ModelBuilder};
-use crate::engine::DiagnosticEngine;
 use crate::model::CircuitModel;
 use crate::session::CompiledModel;
 use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
@@ -17,8 +16,9 @@ use std::sync::Arc;
 /// `out2`; `aux` (latent) → `out3`. `out1` mirrors `bias` almost
 /// perfectly, `out2` is mushy, `out3` only reflects `aux` — three
 /// latents, three candidate measurements, one clearly-best first test,
-/// over a multi-clique junction tree.
-pub fn toy_sequential_engine() -> DiagnosticEngine {
+/// over a multi-clique junction tree. The session unit tests, doc examples
+/// and the concurrency harness all serve off this shared compilation.
+pub fn toy_compiled_model() -> Arc<CompiledModel> {
     let var = |name: &str, ftype| VariableSpec {
         name: name.into(),
         ftype,
@@ -60,12 +60,7 @@ pub fn toy_sequential_engine() -> DiagnosticEngine {
         .with_expert(e)
         .build_expert_only()
         .expect("static fixture CPTs");
-    DiagnosticEngine::new(dm).expect("fixture compiles")
-}
-
-/// The same model as [`toy_sequential_engine`], compiled into the
-/// shareable session artifact (the session unit tests, doc examples and
-/// the concurrency harness all serve off this).
-pub fn toy_compiled_model() -> Arc<CompiledModel> {
-    Arc::clone(toy_sequential_engine().compiled())
+    CompiledModel::compile(dm)
+        .expect("fixture compiles")
+        .shared()
 }

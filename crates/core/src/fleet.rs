@@ -37,7 +37,7 @@
 
 use crate::builder::DiagnosticModel;
 use crate::conformance::{self, ReplayCase};
-use crate::engine::Observation;
+use crate::diagnosis::Observation;
 use crate::error::{Error, Result};
 use crate::planner::CostModel;
 use crate::session::CompiledModel;

@@ -56,7 +56,7 @@
 //! commits a board to a repair bench.
 
 use crate::builder::DiagnosticModel;
-use crate::engine::{Diagnosis, Observation};
+use crate::diagnosis::{Diagnosis, Observation};
 use crate::error::{Error, Result};
 use crate::model::CircuitModel;
 use crate::session::{
@@ -1225,13 +1225,13 @@ fn filter_request(request: &SessionRequest, model: &DiagnosticModel) -> SessionR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fixtures::toy_sequential_engine;
+    use crate::fixtures::toy_compiled_model;
 
     /// The toy fixture split at its control pin: `core` holds the bias
     /// and load chain, `side` the aux block.
     fn toy_hierarchy() -> HierarchicalModel {
         HierarchicalModel::build(
-            toy_sequential_engine().model().clone(),
+            toy_compiled_model().model().clone(),
             ["pin"],
             vec![
                 BlockSpec::new("core", ["bias", "load", "out1", "out2"], ["out1"]),

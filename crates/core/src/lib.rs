@@ -10,11 +10,12 @@
 //!    estimates ([`ExpertKnowledge`]) fine-tuned on ATE-derived cases with
 //!    EM or conjugate gradient ([`LearnAlgorithm`]), yielding a
 //!    [`DiagnosticModel`].
-//! 3. **Diagnostic mode** — [`DiagnosticEngine`]: enter the controllable
-//!    and observable block states of a failing device as an
-//!    [`Observation`], read back posterior state probabilities for every
-//!    block, and receive the ranked failing-block [`Candidate`]s produced
-//!    by the automated §IV-B deduction ([`DeductionPolicy`]).
+//! 3. **Diagnostic mode** — [`CompiledModel`]: compile the fitted model
+//!    once, enter the controllable and observable block states of a
+//!    failing device as an [`Observation`], read back posterior state
+//!    probabilities for every block, and receive the ranked failing-block
+//!    [`Candidate`]s produced by the automated §IV-B deduction
+//!    ([`DeductionPolicy`]).
 //!
 //! Reports in the paper's Table VII layout come from [`render_state_table`]
 //! and [`render_candidates`].
@@ -67,7 +68,12 @@ mod builder;
 #[deny(missing_docs)]
 pub mod conformance;
 mod deduce;
-mod engine;
+mod diagnosis;
+/// One-shot diagnosis through [`CompiledModel`].
+#[cfg(test)]
+mod engine {
+    mod tests;
+}
 mod error;
 mod explain;
 #[doc(hidden)]
@@ -96,7 +102,7 @@ mod voi;
 pub use builder::{DiagnosticModel, ExpertKnowledge, LearnAlgorithm, LearnSummary, ModelBuilder};
 pub use conformance::{GoldenCorpus, ReplayCase, ReplayMismatch, ReplayOutcome};
 pub use deduce::{Candidate, DeductionPolicy, HealthClass};
-pub use engine::{Diagnosis, DiagnosticEngine, Observation};
+pub use diagnosis::{Diagnosis, Observation};
 pub use error::{Error, Result};
 pub use explain::FindingImpact;
 pub use fleet::{

@@ -107,15 +107,6 @@ impl CircuitModel {
             .collect()
     }
 
-    /// The declared children of `parent`, in declaration order.
-    pub fn children_of(&self, parent: &str) -> Vec<&str> {
-        self.edges
-            .iter()
-            .filter(|(p, _)| p == parent)
-            .map(|(_, c)| c.as_str())
-            .collect()
-    }
-
     /// Overrides which states of `variable` count as failing (default `{0}`).
     ///
     /// # Errors
@@ -262,7 +253,6 @@ mod tests {
         let m = model();
         assert_eq!(m.edges().len(), 5);
         assert_eq!(m.parents_of("out"), vec!["b", "c"]);
-        assert_eq!(m.children_of("a"), vec!["b", "c"]);
         assert_eq!(m.parents_of("pin"), Vec::<&str>::new());
         assert_eq!(m.latents(), vec!["a", "b", "c"]);
         assert_eq!(m.controls(), vec!["pin"]);

@@ -582,8 +582,8 @@ fn eval_level(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Observation;
-    use crate::fixtures::toy_sequential_engine;
+    use crate::diagnosis::Observation;
+    use crate::fixtures::toy_compiled_model;
     use crate::session::{DiagnosisSession, StoppingPolicy};
     use std::sync::Arc;
 
@@ -656,21 +656,21 @@ mod tests {
 
     #[test]
     fn depth_one_values_equal_myopic_gains() {
-        let eng = toy_sequential_engine();
+        let compiled = toy_compiled_model();
         let mut obs = Observation::new();
         obs.set("pin", 1);
-        let evidence = eng.evidence_from(&obs).unwrap();
+        let evidence = compiled.evidence_from(&obs).unwrap();
         let vars: Vec<VarId> = ["out1", "out2", "out3"]
             .iter()
-            .map(|n| eng.model().var(n).unwrap())
+            .map(|n| compiled.model().var(n).unwrap())
             .collect();
-        let mut planner = LookaheadPlanner::new(eng.compiled(), 1).unwrap();
+        let mut planner = LookaheadPlanner::new(&compiled, 1).unwrap();
         let values = planner
-            .values(eng.compiled(), &evidence, &vars)
+            .values(&compiled, &evidence, &vars)
             .unwrap()
             .to_vec();
         let mut session =
-            DiagnosisSession::new(Arc::clone(eng.compiled()), StoppingPolicy::default()).unwrap();
+            DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
         session.observe_all(&obs).unwrap();
         let myopic = session.rank_actions().unwrap();
         for (name, value) in ["out1", "out2", "out3"].iter().zip(&values) {
@@ -690,19 +690,19 @@ mod tests {
 
     #[test]
     fn deeper_lookahead_never_loses_value() {
-        let eng = toy_sequential_engine();
+        let compiled = toy_compiled_model();
         let mut obs = Observation::new();
         obs.set("pin", 1);
-        let evidence = eng.evidence_from(&obs).unwrap();
+        let evidence = compiled.evidence_from(&obs).unwrap();
         let vars: Vec<VarId> = ["out1", "out2", "out3"]
             .iter()
-            .map(|n| eng.model().var(n).unwrap())
+            .map(|n| compiled.model().var(n).unwrap())
             .collect();
         let mut prev: Option<Vec<f64>> = None;
         for depth in 1..=3 {
-            let mut planner = LookaheadPlanner::new(eng.compiled(), depth).unwrap();
+            let mut planner = LookaheadPlanner::new(&compiled, depth).unwrap();
             let values = planner
-                .values(eng.compiled(), &evidence, &vars)
+                .values(&compiled, &evidence, &vars)
                 .unwrap()
                 .to_vec();
             assert!(values.iter().all(|v| v.is_finite() && *v >= 0.0));
@@ -721,22 +721,22 @@ mod tests {
 
     #[test]
     fn planner_rejects_bad_depths() {
-        let eng = toy_sequential_engine();
+        let compiled = toy_compiled_model();
         assert!(matches!(
-            LookaheadPlanner::new(eng.compiled(), 0),
+            LookaheadPlanner::new(&compiled, 0),
             Err(Error::InvalidStrategy(_))
         ));
         assert!(matches!(
-            LookaheadPlanner::new(eng.compiled(), MAX_LOOKAHEAD_DEPTH + 1),
+            LookaheadPlanner::new(&compiled, MAX_LOOKAHEAD_DEPTH + 1),
             Err(Error::InvalidStrategy(_))
         ));
-        assert_eq!(LookaheadPlanner::new(eng.compiled(), 2).unwrap().depth(), 2);
+        assert_eq!(LookaheadPlanner::new(&compiled, 2).unwrap().depth(), 2);
     }
 
     #[test]
     fn discount_bounds_and_extremes() {
-        let eng = toy_sequential_engine();
-        let mut planner = LookaheadPlanner::new(eng.compiled(), 2).unwrap();
+        let compiled = toy_compiled_model();
+        let mut planner = LookaheadPlanner::new(&compiled, 2).unwrap();
         assert_eq!(planner.discount(), DEFAULT_LOOKAHEAD_DISCOUNT);
         assert!(planner.set_discount(-0.1).is_err());
         assert!(planner.set_discount(1.1).is_err());
@@ -744,27 +744,24 @@ mod tests {
 
         let mut obs = Observation::new();
         obs.set("pin", 1);
-        let evidence = eng.evidence_from(&obs).unwrap();
+        let evidence = compiled.evidence_from(&obs).unwrap();
         let vars: Vec<VarId> = ["out1", "out2", "out3"]
             .iter()
-            .map(|n| eng.model().var(n).unwrap())
+            .map(|n| compiled.model().var(n).unwrap())
             .collect();
         // γ = 0 collapses any depth to the myopic gain.
         planner.set_discount(0.0).unwrap();
         let zeroed = planner
-            .values(eng.compiled(), &evidence, &vars)
+            .values(&compiled, &evidence, &vars)
             .unwrap()
             .to_vec();
-        let mut myopic = LookaheadPlanner::new(eng.compiled(), 1).unwrap();
-        let base = myopic
-            .values(eng.compiled(), &evidence, &vars)
-            .unwrap()
-            .to_vec();
+        let mut myopic = LookaheadPlanner::new(&compiled, 1).unwrap();
+        let base = myopic.values(&compiled, &evidence, &vars).unwrap().to_vec();
         assert_eq!(zeroed, base);
         // γ = 1 never scores below the default discount.
         planner.set_discount(1.0).unwrap();
         let undiscounted = planner
-            .values(eng.compiled(), &evidence, &vars)
+            .values(&compiled, &evidence, &vars)
             .unwrap()
             .to_vec();
         for (u, z) in undiscounted.iter().zip(&zeroed) {

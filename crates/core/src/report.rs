@@ -3,7 +3,7 @@
 //! summaries.
 
 use crate::builder::DiagnosticModel;
-use crate::engine::Diagnosis;
+use crate::diagnosis::Diagnosis;
 use std::fmt::Write as _;
 
 /// Renders a Table VII-style state-probability table: one row per
@@ -103,11 +103,12 @@ fn truncate(text: &str, max: usize) -> String {
 mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
-    use crate::engine::{DiagnosticEngine, Observation};
+    use crate::diagnosis::Observation;
     use crate::model::CircuitModel;
+    use crate::session::CompiledModel;
     use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
 
-    fn engine() -> DiagnosticEngine {
+    fn compiled_model() -> CompiledModel {
         let spec = ModelSpec::new([
             VariableSpec {
                 name: "bias".into(),
@@ -138,17 +139,17 @@ mod tests {
             .with_expert(e)
             .build_expert_only()
             .unwrap();
-        DiagnosticEngine::new(dm).unwrap()
+        CompiledModel::compile(dm).unwrap()
     }
 
     #[test]
     fn table_contains_all_rows_and_columns() {
-        let eng = engine();
-        let baseline = eng.baseline().unwrap();
+        let compiled = compiled_model();
+        let baseline = compiled.baseline().unwrap();
         let mut obs = Observation::new();
         obs.set("out", 0);
-        let d = eng.diagnose(&obs).unwrap();
-        let table = render_state_table(eng.model(), &baseline, &[("d1", &d)]);
+        let d = compiled.diagnose(&obs).unwrap();
+        let table = render_state_table(compiled.model(), &baseline, &[("d1", &d)]);
         assert!(table.contains("bias"));
         assert!(table.contains("out"));
         assert!(table.contains("d1(%)"));
@@ -165,17 +166,17 @@ mod tests {
 
     #[test]
     fn candidates_rendering() {
-        let eng = engine();
+        let compiled = compiled_model();
         let mut obs = Observation::new();
         obs.set("out", 0);
-        let d = eng.diagnose(&obs).unwrap();
+        let d = compiled.diagnose(&obs).unwrap();
         let text = render_candidates(&d);
         assert!(text.contains("bias"));
         assert!(text.contains("rank"));
 
         let mut ok = Observation::new();
         ok.set("out", 1);
-        let healthy = eng.diagnose(&ok).unwrap();
+        let healthy = compiled.diagnose(&ok).unwrap();
         let text = render_candidates(&healthy);
         assert!(text.contains("healthy"));
     }

@@ -2,7 +2,7 @@
 //! conditions, candidate management and the adaptive-versus-scripted
 //! comparison on the shared toy dead-bias device.
 
-use crate::engine::Observation;
+use crate::diagnosis::Observation;
 use crate::error::{Error, Result};
 use crate::fixtures::toy_compiled_model;
 use crate::session::{Action, DiagnosisSession, Outcome, StopReason, StoppingPolicy};

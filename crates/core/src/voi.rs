@@ -168,7 +168,7 @@ pub(crate) fn expected_gain(
 mod tests {
     use super::*;
     use crate::builder::{ExpertKnowledge, ModelBuilder};
-    use crate::engine::Observation;
+    use crate::diagnosis::Observation;
     use crate::model::CircuitModel;
     use crate::session::{Action, DiagnosisSession, SessionRequest, StoppingPolicy};
     use abbd_bbn::Evidence;

@@ -11,7 +11,7 @@
 //!   follow-up value).
 
 use abbd_core::{
-    Action, CircuitModel, CostModel, DiagnosisSession, DiagnosticEngine, Error, LookaheadPlanner,
+    Action, CircuitModel, CompiledModel, CostModel, DiagnosisSession, Error, LookaheadPlanner,
     ModelBuilder, Observation, Outcome, StoppingPolicy, Strategy,
 };
 use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
@@ -23,7 +23,7 @@ const OUTS: [&str; 3] = ["out1", "out2", "out3"];
 /// pin (control) -> bias (latent) -> {out1, out2}; load (latent) -> out2;
 /// aux (latent) -> out3 — with every CPT row parameterised by `raw` (the
 /// same randomised family as the sequential equivalence suite).
-fn engine_from(raw: &[f64]) -> DiagnosticEngine {
+fn compiled_from(raw: &[f64]) -> Arc<CompiledModel> {
     let var = |name: &str, ftype| VariableSpec {
         name: name.into(),
         ftype,
@@ -64,7 +64,7 @@ fn engine_from(raw: &[f64]) -> DiagnosticEngine {
         .with_expert(e)
         .build_expert_only()
         .unwrap();
-    DiagnosticEngine::new(dm).unwrap()
+    CompiledModel::compile(dm).unwrap().shared()
 }
 
 fn device_oracle(outs: Vec<usize>) -> impl FnMut(&Action) -> Result<Outcome, Error> {
@@ -90,17 +90,17 @@ proptest! {
         pin in 0usize..2,
         threshold in 0.5f64..1.0,
     ) {
-        let engine = engine_from(&raw);
+        let compiled = compiled_from(&raw);
         let policy = StoppingPolicy {
             fault_mass_threshold: threshold,
             max_steps: 32,
             min_gain: 0.0,
         };
-        let mut myopic = DiagnosisSession::new(Arc::clone(engine.compiled()), policy).unwrap();
+        let mut myopic = DiagnosisSession::new(Arc::clone(&compiled), policy).unwrap();
         myopic.observe("pin", pin).unwrap();
         let m = myopic.run(device_oracle(outs.clone())).unwrap();
 
-        let mut lookahead = DiagnosisSession::new(Arc::clone(engine.compiled()), policy).unwrap();
+        let mut lookahead = DiagnosisSession::new(Arc::clone(&compiled), policy).unwrap();
         lookahead.set_strategy(Strategy::Lookahead { depth: 1 }).unwrap();
         lookahead.set_cost_model(CostModel::unit()).unwrap();
         lookahead.observe("pin", pin).unwrap();
@@ -131,13 +131,13 @@ proptest! {
         factor in 0.001f64..1000.0,
         pin in 0usize..2,
     ) {
-        let engine = engine_from(&raw);
+        let compiled = compiled_from(&raw);
         let mut base = CostModel::new(1.0, 2.0, 10.0).unwrap();
         for (name, secs) in OUTS.iter().zip(&costs) {
             base.set_cost(*name, *secs).unwrap();
         }
         let ranking = |cost: CostModel| -> Vec<String> {
-            let mut d = DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::default()).unwrap();
+            let mut d = DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::default()).unwrap();
             d.set_strategy(Strategy::CostWeighted).unwrap();
             d.set_cost_model(cost).unwrap();
             d.observe("pin", pin).unwrap();
@@ -160,18 +160,18 @@ proptest! {
         raw in proptest::collection::vec(0.05f64..0.95, 12),
         pin in 0usize..2,
     ) {
-        let engine = engine_from(&raw);
+        let compiled = compiled_from(&raw);
         let mut obs = Observation::new();
         obs.set("pin", pin);
-        let evidence = engine.evidence_from(&obs).unwrap();
+        let evidence = compiled.evidence_from(&obs).unwrap();
         let vars: Vec<_> = OUTS
             .iter()
-            .map(|n| engine.model().var(n).unwrap())
+            .map(|n| compiled.model().var(n).unwrap())
             .collect();
         let mut previous: Option<Vec<f64>> = None;
         for depth in 1..=3 {
-            let mut planner = LookaheadPlanner::new(engine.compiled(), depth).unwrap();
-            let values = planner.values(engine.compiled(), &evidence, &vars).unwrap().to_vec();
+            let mut planner = LookaheadPlanner::new(&compiled, depth).unwrap();
+            let values = planner.values(&compiled, &evidence, &vars).unwrap().to_vec();
             for v in &values {
                 prop_assert!(v.is_finite() && *v >= 0.0, "value {v} at depth {depth}");
             }

@@ -4,7 +4,7 @@
 //! diagnosis of the full observation lands.
 
 use abbd_core::{
-    Action, CircuitModel, DiagnosisSession, DiagnosticEngine, Error, ModelBuilder, Observation,
+    Action, CircuitModel, CompiledModel, DiagnosisSession, Error, ModelBuilder, Observation,
     Outcome, StoppingPolicy,
 };
 use abbd_dlog2bbn::{FunctionalType, ModelSpec, StateBand, VariableSpec};
@@ -15,7 +15,7 @@ const OUTS: [&str; 3] = ["out1", "out2", "out3"];
 
 /// pin (control) -> bias (latent) -> {out1, out2}; load (latent) -> out2;
 /// aux (latent) -> out3 — with every CPT row parameterised by `raw`.
-fn engine_from(raw: &[f64]) -> DiagnosticEngine {
+fn compiled_from(raw: &[f64]) -> Arc<CompiledModel> {
     let var = |name: &str, ftype| VariableSpec {
         name: name.into(),
         ftype,
@@ -56,7 +56,7 @@ fn engine_from(raw: &[f64]) -> DiagnosticEngine {
         .with_expert(e)
         .build_expert_only()
         .unwrap();
-    DiagnosticEngine::new(dm).unwrap()
+    CompiledModel::compile(dm).unwrap().shared()
 }
 
 /// The full observation a device with outputs `outs` under `pin` yields
@@ -95,13 +95,13 @@ proptest! {
         outs in proptest::collection::vec(0usize..2, 3),
         pin in 0usize..2,
     ) {
-        let engine = engine_from(&raw);
-        let mut d = DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::exhaustive()).unwrap();
+        let compiled = compiled_from(&raw);
+        let mut d = DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::exhaustive()).unwrap();
         d.observe("pin", pin).unwrap();
         let outcome = d.run(device_oracle(outs.clone())).unwrap();
         prop_assert_eq!(outcome.tests_used(), 3);
 
-        let one_shot = engine.diagnose(&full_observation(pin, &outs)).unwrap();
+        let one_shot = compiled.diagnose(&full_observation(pin, &outs)).unwrap();
         prop_assert_eq!(outcome.diagnosis.posteriors(), one_shot.posteriors());
         prop_assert_eq!(outcome.diagnosis.fault_mass(), one_shot.fault_mass());
         prop_assert!(
@@ -132,14 +132,14 @@ proptest! {
         outs in proptest::collection::vec(0usize..2, 3),
         first in 0usize..3,
     ) {
-        let engine = engine_from(&raw);
+        let compiled = compiled_from(&raw);
         let mut order: Vec<&str> = OUTS.to_vec();
         order.rotate_left(first);
-        let mut d = DiagnosisSession::new(Arc::clone(engine.compiled()), StoppingPolicy::exhaustive()).unwrap();
+        let mut d = DiagnosisSession::new(Arc::clone(&compiled), StoppingPolicy::exhaustive()).unwrap();
         d.observe("pin", 1).unwrap();
         let outcome = d.run_scripted(&order, device_oracle(outs.clone())).unwrap();
         prop_assert_eq!(outcome.tests_used(), 3);
-        let one_shot = engine.diagnose(&full_observation(1, &outs)).unwrap();
+        let one_shot = compiled.diagnose(&full_observation(1, &outs)).unwrap();
         prop_assert_eq!(outcome.diagnosis.posteriors(), one_shot.posteriors());
     }
 
@@ -152,13 +152,13 @@ proptest! {
         outs in proptest::collection::vec(0usize..2, 3),
         threshold in 0.5f64..0.99,
     ) {
-        let engine = engine_from(&raw);
+        let compiled = compiled_from(&raw);
         let policy = StoppingPolicy {
             fault_mass_threshold: threshold,
             max_steps: 32,
             min_gain: 0.0,
         };
-        let mut d = DiagnosisSession::new(Arc::clone(engine.compiled()), policy).unwrap();
+        let mut d = DiagnosisSession::new(Arc::clone(&compiled), policy).unwrap();
         d.observe("pin", 1).unwrap();
         let outcome = d.run(device_oracle(outs)).unwrap();
         for step in &outcome.applied {

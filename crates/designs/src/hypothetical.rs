@@ -20,8 +20,8 @@ use abbd_blocks::{
     FaultUniverse, Stimulus, Window,
 };
 use abbd_core::{
-    CircuitModel, DiagnosisSession, DiagnosticEngine, ExpertKnowledge, LearnAlgorithm,
-    ModelBuilder, StoppingPolicy, Strategy,
+    CircuitModel, CompiledModel, DiagnosisSession, ExpertKnowledge, LearnAlgorithm, ModelBuilder,
+    StoppingPolicy, Strategy,
 };
 use abbd_dlog2bbn::{
     generate_cases, CaseMapping, FunctionalType, GenerationStats, ModelSpec, NamedCase, StateBand,
@@ -29,6 +29,7 @@ use abbd_dlog2bbn::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Builds the behavioural circuit of Fig. 1a.
 pub fn circuit() -> Circuit {
@@ -253,8 +254,9 @@ pub fn fault_universe(circuit: &Circuit) -> FaultUniverse {
 /// The fitted outcome of the hypothetical-circuit pipeline.
 #[derive(Debug)]
 pub struct FittedHypothetical {
-    /// The compiled diagnostic engine.
-    pub engine: DiagnosticEngine,
+    /// The fine-tuned model, compiled and shared: diagnose on it directly
+    /// or hand clones of the [`Arc`] to concurrent sessions.
+    pub engine: Arc<CompiledModel>,
     /// The failing-device datalogs used for fine-tuning.
     pub logs: Vec<DeviceLog>,
     /// The generated cases.
@@ -300,9 +302,8 @@ pub fn fit(n_failing: usize, seed: u64, algorithm: LearnAlgorithm) -> Result<Fit
     let fitted = ModelBuilder::new(circuit_model())
         .with_expert(expert_knowledge(40.0))
         .learn(&cases, algorithm)?;
-    let engine = DiagnosticEngine::new(fitted)?;
     Ok(FittedHypothetical {
-        engine,
+        engine: CompiledModel::compile(fitted)?.shared(),
         logs,
         cases,
         stats,
@@ -324,12 +325,12 @@ pub fn fit(n_failing: usize, seed: u64, algorithm: LearnAlgorithm) -> Result<Fit
 ///
 /// Propagates fabrication, simulation and diagnosis errors.
 pub fn closed_loop_population(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     n_failing: usize,
     seed: u64,
     policy: StoppingPolicy,
 ) -> Result<Vec<ClosedLoopReport>> {
-    closed_loop_population_with(engine, n_failing, seed, policy, Strategy::Myopic)
+    closed_loop_population_with(compiled, n_failing, seed, policy, Strategy::Myopic)
 }
 
 /// [`closed_loop_population`] with the adaptive arm selecting
@@ -340,7 +341,7 @@ pub fn closed_loop_population(
 ///
 /// Same as [`closed_loop_population`].
 pub fn closed_loop_population_with(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     n_failing: usize,
     seed: u64,
     policy: StoppingPolicy,
@@ -386,8 +387,7 @@ pub fn closed_loop_population_with(
             .ok_or_else(|| Error::Pipeline(format!("unknown suite `{suite}`")))?;
 
         let run = |scripted: bool| -> Result<abbd_core::SequentialOutcome> {
-            let mut d = DiagnosisSession::new(std::sync::Arc::clone(engine.compiled()), policy)
-                .map_err(Error::Core)?;
+            let mut d = DiagnosisSession::new(Arc::clone(compiled), policy).map_err(Error::Core)?;
             d.set_strategy(strategy).map_err(Error::Core)?;
             d.observe("block1", si).map_err(Error::Core)?;
             d.set_candidates(MEASURABLES).map_err(Error::Core)?;

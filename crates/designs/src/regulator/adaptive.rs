@@ -11,23 +11,22 @@ use crate::regulator::program::{suite_plans, test_number, SuitePlan, CONTROL_VAR
 use crate::regulator::{rig, synthesize};
 use abbd_ate::{DeviceSession, NoiseModel, OnDemandTester};
 use abbd_core::{
-    Action, CostModel, DecisionTrace, DiagnosisSession, DiagnosticEngine, Outcome,
-    SequentialOutcome, StoppingPolicy, Strategy,
+    Action, CompiledModel, CostModel, DecisionTrace, DiagnosisSession, Outcome, SequentialOutcome,
+    StoppingPolicy, Strategy,
 };
 use abbd_dlog2bbn::ModelSpec;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Opens a session on the engine's shared compilation, seeded with a
+/// Opens a session on the shared compilation, seeded with a
 /// suite's control states, candidates restricted to the suite's five
 /// outputs.
 fn seeded_session(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     controls: impl IntoIterator<Item = (&'static str, usize)>,
     policy: StoppingPolicy,
 ) -> Result<DiagnosisSession> {
-    let mut d =
-        DiagnosisSession::new(Arc::clone(engine.compiled()), policy).map_err(Error::Core)?;
+    let mut d = DiagnosisSession::new(Arc::clone(compiled), policy).map_err(Error::Core)?;
     for (name, state) in controls {
         d.observe(name, state).map_err(Error::Core)?;
     }
@@ -86,12 +85,12 @@ fn plan_for(suite: &str) -> Result<(usize, SuitePlan)> {
 ///
 /// Propagates diagnosis errors.
 pub fn adaptive_case_study(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     case: &CaseStudy,
     policy: StoppingPolicy,
 ) -> Result<SequentialOutcome> {
     let (_, plan) = plan_for(case.suite)?;
-    let mut d = seeded_session(engine, case.controls, policy)?;
+    let mut d = seeded_session(compiled, case.controls, policy)?;
     d.run(table_vi_oracle(case, &plan)).map_err(Error::Core)
 }
 
@@ -102,12 +101,12 @@ pub fn adaptive_case_study(
 ///
 /// Propagates diagnosis errors.
 pub fn fixed_case_study(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     case: &CaseStudy,
     policy: StoppingPolicy,
 ) -> Result<SequentialOutcome> {
     let (_, plan) = plan_for(case.suite)?;
-    let mut d = seeded_session(engine, case.controls, policy)?;
+    let mut d = seeded_session(compiled, case.controls, policy)?;
     d.run_scripted(&OBSERVED_VARS, table_vi_oracle(case, &plan))
         .map_err(Error::Core)
 }
@@ -136,14 +135,14 @@ pub fn reference_cost_model() -> CostModel {
 ///
 /// Propagates strategy/diagnosis errors.
 pub fn traced_case_study(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     case: &CaseStudy,
     policy: StoppingPolicy,
     strategy: Strategy,
     cost: CostModel,
 ) -> Result<(SequentialOutcome, DecisionTrace)> {
     let (_, plan) = plan_for(case.suite)?;
-    let mut d = seeded_session(engine, case.controls, policy)?;
+    let mut d = seeded_session(compiled, case.controls, policy)?;
     d.set_strategy(strategy).map_err(Error::Core)?;
     d.set_cost_model(cost).map_err(Error::Core)?;
     d.run_traced(table_vi_oracle(case, &plan))
@@ -194,7 +193,7 @@ pub fn mixed_cost_model() -> CostModel {
 ///
 /// Propagates fabrication, strategy and diagnosis errors.
 pub fn mixed_case_study(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     case: &CaseStudy,
     policy: StoppingPolicy,
     strategy: Strategy,
@@ -207,7 +206,7 @@ pub fn mixed_case_study(
     let mut bench = tester.session(&device, NoiseModel::none(), 7);
     let spec = rig.model.spec();
 
-    let mut session = seeded_session(engine, case.controls, policy)?;
+    let mut session = seeded_session(compiled, case.controls, policy)?;
     session.set_strategy(strategy).map_err(Error::Core)?;
     session.set_cost_model(cost).map_err(Error::Core)?;
     let mut actions: Vec<Action> = OBSERVED_VARS.iter().map(|n| Action::test(*n)).collect();
@@ -238,7 +237,7 @@ pub fn mixed_case_study(
 ///
 /// Same as [`mixed_case_study`].
 pub fn two_phase_case_study(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     case: &CaseStudy,
     policy: StoppingPolicy,
     strategy: Strategy,
@@ -251,7 +250,7 @@ pub fn two_phase_case_study(
     let mut bench = tester.session(&device, NoiseModel::none(), 7);
     let spec = rig.model.spec();
 
-    let mut session = seeded_session(engine, case.controls, policy)?;
+    let mut session = seeded_session(compiled, case.controls, policy)?;
     session.set_strategy(strategy).map_err(Error::Core)?;
     session.set_cost_model(cost).map_err(Error::Core)?;
 
@@ -385,7 +384,7 @@ pub fn summarize_cross_suite(
 ///
 /// Propagates fabrication, simulation and diagnosis errors.
 pub fn cross_suite_population(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     n_failing: usize,
     seed: u64,
     policy: StoppingPolicy,
@@ -417,7 +416,7 @@ pub fn cross_suite_population(
             let (si, _) = plan_for(suite)?;
             let plan = &plans[si];
             let controls = CONTROL_VARS.iter().copied().zip(plan.control_states);
-            contexts.push((suite.clone(), seeded_session(engine, controls, policy)?));
+            contexts.push((suite.clone(), seeded_session(compiled, controls, policy)?));
             suite_indices.push(si);
         }
 
@@ -489,12 +488,12 @@ pub fn cross_suite_population(
 ///
 /// Propagates fabrication, simulation and diagnosis errors.
 pub fn closed_loop_population(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     n_failing: usize,
     seed: u64,
     policy: StoppingPolicy,
 ) -> Result<PopulationRun<ClosedLoopReport>> {
-    closed_loop_population_with_noise(engine, n_failing, seed, policy, NoiseModel::production())
+    closed_loop_population_with_noise(compiled, n_failing, seed, policy, NoiseModel::production())
 }
 
 /// [`closed_loop_population`] under an explicit measurement-noise model.
@@ -509,7 +508,7 @@ pub fn closed_loop_population(
 ///
 /// Same as [`closed_loop_population`].
 pub fn closed_loop_population_with_noise(
-    engine: &DiagnosticEngine,
+    compiled: &Arc<CompiledModel>,
     n_failing: usize,
     seed: u64,
     policy: StoppingPolicy,
@@ -531,7 +530,7 @@ pub fn closed_loop_population_with_noise(
         let (si, plan) = plan_for(&failing_suite)?;
         let controls = CONTROL_VARS.iter().copied().zip(plan.control_states);
 
-        let mut adaptive_d = seeded_session(engine, controls.clone(), policy)?;
+        let mut adaptive_d = seeded_session(compiled, controls.clone(), policy)?;
         let mut session = tester.session(device, noise.clone(), seed);
         let adaptive = match adaptive_d.run(bench_oracle(&mut session, spec, si)) {
             Ok(outcome) => outcome,
@@ -544,7 +543,7 @@ pub fn closed_loop_population_with_noise(
             Err(e) => return Err(Error::Core(e)),
         };
 
-        let mut fixed_d = seeded_session(engine, controls, policy)?;
+        let mut fixed_d = seeded_session(compiled, controls, policy)?;
         let mut session = tester.session(device, noise.clone(), seed);
         let fixed = match fixed_d.run_scripted(&OBSERVED_VARS, bench_oracle(&mut session, spec, si))
         {
@@ -574,17 +573,17 @@ mod tests {
     /// always adds up instead of quietly shrinking.
     #[test]
     fn skipped_devices_are_reported_not_dropped() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         // The production voltmeter (2 mV) never leaves the state bands:
         // nothing skipped, every device reported.
-        let clean = closed_loop_population(&engine, 6, 2, StoppingPolicy::default()).unwrap();
+        let clean = closed_loop_population(&compiled, 6, 2, StoppingPolicy::default()).unwrap();
         assert!(clean.skipped.is_empty());
         assert_eq!(clean.devices_attempted(), 6);
         // A degraded voltmeter (250 mV sigma) pushes off-state readings
         // below the model's lowest band; those devices are undiagnosable
         // on this bench and must be named, not dropped.
         let noisy = closed_loop_population_with_noise(
-            &engine,
+            &compiled,
             6,
             2,
             StoppingPolicy::default(),
@@ -617,7 +616,7 @@ mod tests {
     use abbd_bbn::learn::EmConfig;
     use abbd_core::LearnAlgorithm;
 
-    fn quick_engine() -> DiagnosticEngine {
+    fn quick_model() -> Arc<CompiledModel> {
         fit(
             24,
             42,
@@ -636,11 +635,11 @@ mod tests {
     /// ambiguity.
     #[test]
     fn adaptive_never_uses_more_tests_than_fixed_on_case_studies() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let policy = StoppingPolicy::default();
         for case in case_studies() {
-            let adaptive = adaptive_case_study(&engine, &case, policy).unwrap();
-            let fixed = fixed_case_study(&engine, &case, policy).unwrap();
+            let adaptive = adaptive_case_study(&compiled, &case, policy).unwrap();
+            let fixed = fixed_case_study(&compiled, &case, policy).unwrap();
             assert!(
                 adaptive.tests_used() <= fixed.tests_used(),
                 "case {}: adaptive {} > fixed {}",
@@ -662,9 +661,9 @@ mod tests {
 
     #[test]
     fn d1_adaptive_top_candidate_matches_the_paper() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let d1 = &case_studies()[0];
-        let outcome = adaptive_case_study(&engine, d1, StoppingPolicy::default()).unwrap();
+        let outcome = adaptive_case_study(&compiled, d1, StoppingPolicy::default()).unwrap();
         let top = outcome
             .diagnosis
             .top_candidate()
@@ -682,14 +681,19 @@ mod tests {
     /// golden corpus pins).
     #[test]
     fn lookahead_depth2_needs_no_more_tests_than_myopic_on_case_studies() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let policy = StoppingPolicy::default();
         for case in case_studies() {
-            let (myopic, _) =
-                traced_case_study(&engine, &case, policy, Strategy::Myopic, CostModel::unit())
-                    .unwrap();
+            let (myopic, _) = traced_case_study(
+                &compiled,
+                &case,
+                policy,
+                Strategy::Myopic,
+                CostModel::unit(),
+            )
+            .unwrap();
             let (lookahead, _) = traced_case_study(
-                &engine,
+                &compiled,
                 &case,
                 policy,
                 Strategy::Lookahead { depth: 2 },
@@ -717,10 +721,10 @@ mod tests {
     /// recorded per step.
     #[test]
     fn traced_case_study_records_the_whole_decision_path() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let d1 = &case_studies()[0];
         let (outcome, trace) = traced_case_study(
-            &engine,
+            &compiled,
             d1,
             StoppingPolicy::default(),
             Strategy::CostWeighted,
@@ -755,11 +759,11 @@ mod tests {
     /// isolation quality does not regress.
     #[test]
     fn cost_weighted_strictly_reduces_stimulus_switches_on_the_population() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let policy = StoppingPolicy::default();
         let cost = reference_cost_model();
         let run = |strategy| {
-            let run = cross_suite_population(&engine, 16, 2024, policy, strategy, &cost).unwrap();
+            let run = cross_suite_population(&compiled, 16, 2024, policy, strategy, &cost).unwrap();
             assert!(run.skipped.is_empty(), "seed 2024 diagnoses every device");
             assert_eq!(run.devices_attempted(), 16);
             let reports = run.reports;
@@ -804,7 +808,7 @@ mod tests {
     /// program out first.
     #[test]
     fn unified_session_interleaves_the_decisive_probe_on_d1() {
-        let engine = quick_engine();
+        let compiled = quick_model();
         let d1 = &case_studies()[0];
         // Tests alone top out below 0.99 fault mass on this fit (the
         // ambiguity: warnvpst ~0.99, hcbg ~0.41 after the full
@@ -817,7 +821,7 @@ mod tests {
             min_gain: 0.0,
         };
         let (unified, trace) = mixed_case_study(
-            &engine,
+            &compiled,
             d1,
             policy,
             Strategy::CostWeighted,
@@ -825,7 +829,7 @@ mod tests {
         )
         .unwrap();
         let (step_one, step_two) = two_phase_case_study(
-            &engine,
+            &compiled,
             d1,
             policy,
             Strategy::CostWeighted,
@@ -894,8 +898,8 @@ mod tests {
 
     #[test]
     fn closed_loop_population_reports_and_aggregates() {
-        let engine = quick_engine();
-        let run = closed_loop_population(&engine, 8, 2024, StoppingPolicy::default()).unwrap();
+        let compiled = quick_model();
+        let run = closed_loop_population(&compiled, 8, 2024, StoppingPolicy::default()).unwrap();
         assert!(run.skipped.is_empty(), "seed 2024 diagnoses every device");
         let reports = run.reports;
         assert_eq!(reports.len(), 8);

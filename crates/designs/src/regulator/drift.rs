@@ -191,11 +191,11 @@ mod tests {
             }),
         )
         .unwrap();
-        let acc = isolation_accuracy(fitted.engine.compiled(), &fitted.cases);
+        let acc = isolation_accuracy(&fitted.engine, &fitted.cases);
         assert!(
             (0.0..=1.0).contains(&acc) && acc > 0.0,
             "in-sample accuracy should be positive, got {acc}"
         );
-        assert_eq!(isolation_accuracy(fitted.engine.compiled(), &[]), 0.0);
+        assert_eq!(isolation_accuracy(&fitted.engine, &[]), 0.0);
     }
 }

@@ -17,8 +17,9 @@ pub mod program;
 use crate::error::Result;
 use abbd_ate::{DeviceLog, NoiseModel, TestProgram};
 use abbd_blocks::{Circuit, Device, FaultUniverse};
-use abbd_core::{CircuitModel, DiagnosticEngine, ExpertKnowledge, LearnAlgorithm, ModelBuilder};
+use abbd_core::{CircuitModel, CompiledModel, ExpertKnowledge, LearnAlgorithm, ModelBuilder};
 use abbd_dlog2bbn::{CaseMapping, GenerationStats, NamedCase};
+use std::sync::Arc;
 
 /// Default equivalent sample size of the expert estimate. Each CPT row
 /// carries this many pseudo-observations, so the designer's tables anchor
@@ -77,8 +78,9 @@ pub fn rig() -> RegulatorRig {
 /// The outcome of the end-to-end fitting pipeline.
 #[derive(Debug)]
 pub struct FittedRegulator {
-    /// The compiled diagnostic engine over the fine-tuned model.
-    pub engine: DiagnosticEngine,
+    /// The fine-tuned model, compiled and shared: diagnose on it directly
+    /// or hand clones of the [`Arc`] to concurrent sessions.
+    pub engine: Arc<CompiledModel>,
     /// The defective devices that were fabricated.
     pub devices: Vec<Device>,
     /// Their no-stop-on-fail datalogs.
@@ -157,7 +159,7 @@ pub fn synthesize_with(
 
 /// Runs the paper's §IV flow end to end: fabricate `n_failing` defective
 /// devices, test them, convert the datalogs to cases with Dlog2BBN,
-/// fine-tune the expert model, and compile the diagnostic engine.
+/// fine-tune the expert model, and compile it for diagnosis.
 ///
 /// Deterministic for a fixed `seed`.
 ///
@@ -170,9 +172,8 @@ pub fn fit(n_failing: usize, seed: u64, algorithm: LearnAlgorithm) -> Result<Fit
     let fitted = ModelBuilder::new(rig.model)
         .with_expert(rig.expert)
         .learn(&population.cases, algorithm)?;
-    let engine = DiagnosticEngine::new(fitted)?;
     Ok(FittedRegulator {
-        engine,
+        engine: CompiledModel::compile(fitted)?.shared(),
         devices: population.devices,
         logs: population.logs,
         cases: population.cases,

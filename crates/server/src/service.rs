@@ -721,9 +721,10 @@ fn parse_batch_binary(body: &[u8]) -> Result<BatchRequest, ApiError> {
 /// Fans `observations` across up to `workers` scoped threads, one
 /// preallocated propagation workspace per thread, and stitches the
 /// per-item results back in request order. This is the only parallel
-/// batch path; library callers loop [`CompiledModel::diagnose_in`] over
-/// one reused workspace instead. Each scoped thread reports
-/// its (thread-local) junction-tree compile delta into `compiles` —
+/// batch path; library callers loop
+/// [`CompiledModel::diagnose_with_policy_in`] over one reused workspace
+/// instead. Each scoped thread reports its (thread-local) junction-tree
+/// compile delta into `compiles` —
 /// the counter is per-thread, so the connection worker's own sampling
 /// cannot see what happens here.
 ///

@@ -37,7 +37,7 @@ const SESSIONS: usize = 6;
 fn compiled_regulator() -> &'static Arc<CompiledModel> {
     static COMPILED: OnceLock<Arc<CompiledModel>> = OnceLock::new();
     COMPILED.get_or_init(|| {
-        let engine = regulator::fit(
+        regulator::fit(
             24,
             42,
             abbd_core::LearnAlgorithm::Em(abbd_bbn::learn::EmConfig {
@@ -46,8 +46,7 @@ fn compiled_regulator() -> &'static Arc<CompiledModel> {
             }),
         )
         .expect("regulator pipeline runs")
-        .engine;
-        Arc::clone(engine.compiled())
+        .engine
     })
 }
 

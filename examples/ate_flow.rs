@@ -7,7 +7,7 @@
 
 use abbd::ate::{test_population, write_datalog, NoiseModel};
 use abbd::blocks::sample_defective_devices;
-use abbd::core::{DiagnosticEngine, ModelBuilder};
+use abbd::core::{CompiledModel, ModelBuilder};
 use abbd::designs::regulator::{self, cases::case_studies};
 use abbd::dlog2bbn::{cases_from_json, cases_to_json, generate_cases};
 use rand::rngs::StdRng;
@@ -66,10 +66,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fitted = ModelBuilder::new(rig.model)
         .with_expert(rig.expert)
         .learn(&cases, regulator::default_algorithm())?;
-    let engine = DiagnosticEngine::new(fitted)?;
+    let compiled = CompiledModel::compile(fitted)?;
 
     let d5 = &case_studies()[4];
-    let diagnosis = engine.diagnose(&d5.observation())?;
+    let diagnosis = compiled.diagnose(&d5.observation())?;
     println!(
         "\ndiagnosing case d5 (only the power switch output is dead): {}",
         diagnosis.top_candidate().unwrap_or("<none>")

@@ -4,8 +4,8 @@
 //! floor through one `POST …/diagnose_batch` request to an in-process
 //! server — the serving shape for heavy ATE traffic, fanned across the
 //! server's worker pool. Compares wall time and verdict agreement against
-//! a library loop of `CompiledModel::diagnose_in` over one reused
-//! workspace.
+//! a library loop of `CompiledModel::diagnose_with_policy_in` over one
+//! reused workspace.
 //!
 //! Run with: `cargo run --release --example batch_diagnosis`
 
@@ -18,7 +18,7 @@ use std::time::Instant;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("fitting the regulator model on 30 failing devices...");
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm())?;
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
 
     // A return floor: every (device, suite) case with a failing output.
     let observations: Vec<Observation> = fitted
@@ -40,7 +40,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .map(|o| {
             let evidence = compiled.evidence_from(o).ok()?;
-            let diagnosis = compiled.diagnose_in(&mut ws, o, &evidence).ok()?;
+            let diagnosis = compiled
+                .diagnose_with_policy_in(&mut ws, o, &evidence, compiled.policy())
+                .ok()?;
             Some(diagnosis.top_candidate().map(str::to_string))
         })
         .collect();
@@ -75,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|(s, b)| s == b)
         .count();
     println!(
-        "diagnose_in loop: {:>8.1?}   diagnose_batch: {:>8.1?}   verdict agreement: {agree}/{}",
+        "library loop: {:>8.1?}   diagnose_batch: {:>8.1?}   verdict agreement: {agree}/{}",
         t_seq,
         t_batch,
         observations.len()

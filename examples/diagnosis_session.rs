@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("fitting the regulator model on 30 failing devices...");
     let fitted = regulator::fit(30, 2010, regulator::default_algorithm())?;
     // One compilation artifact, shared by everything below.
-    let compiled = Arc::clone(fitted.engine.compiled());
+    let compiled = Arc::clone(&fitted.engine);
 
     // -- 1. Concurrent serving: one Arc, many sessions, zero recompiles.
     println!("\n== serving four devices concurrently off one compilation ==");

@@ -6,7 +6,7 @@
 
 use abbd::bbn::learn::EmConfig;
 use abbd::core::{
-    CircuitModel, DiagnosticEngine, ExpertKnowledge, LearnAlgorithm, ModelBuilder, Observation,
+    CircuitModel, CompiledModel, ExpertKnowledge, LearnAlgorithm, ModelBuilder, Observation,
 };
 use abbd::dlog2bbn::{FunctionalType, ModelSpec, NamedCase, StateBand, VariableSpec};
 
@@ -89,11 +89,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // ---- 3. Diagnostic mode -----------------------------------------------
-    let engine = DiagnosticEngine::new(fitted)?;
+    let compiled = CompiledModel::compile(fitted)?;
     let mut seen = Observation::new();
     seen.set("supply", 1).set("out", 0);
     seen.mark_failing("out");
-    let diagnosis = engine.diagnose(&seen)?;
+    let diagnosis = compiled.diagnose(&seen)?;
 
     println!("\nposterior state probabilities:");
     for (name, dist) in diagnosis.posteriors() {

@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // every latent on the menu as a probe action, and rank.
     let d1 = &studies[0];
     let mut session = DiagnosisSession::new(
-        std::sync::Arc::clone(fitted.engine.compiled()),
+        std::sync::Arc::clone(&fitted.engine),
         StoppingPolicy::default(),
     )?;
     session.observe_all(&d1.observation())?;

@@ -173,7 +173,7 @@ fn build_registry(args: &Args) -> Result<ModelRegistry, String> {
         );
         let fitted = regulator::fit(args.devices, args.seed, algorithm)
             .map_err(|e| format!("regulator fit failed: {e}"))?;
-        let compiled = Arc::clone(fitted.engine.compiled());
+        let compiled = Arc::clone(&fitted.engine);
         // The five Table VI case studies become the refit conformance
         // corpus: a candidate must isolate whatever the startup fit
         // isolates on each of them before it may serve.

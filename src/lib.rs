@@ -14,7 +14,7 @@
 //! | [`blocks`] | `abbd-blocks` | behavioural circuit simulator with fault injection |
 //! | [`ate`] | `abbd-ate` | specification test programs and datalogs |
 //! | [`dlog2bbn`] | `abbd-dlog2bbn` | the paper's case-generator tool |
-//! | [`core`] | `abbd-core` | model builder, diagnostic engine, candidate deduction |
+//! | [`core`] | `abbd-core` | model builder, compiled diagnosis and sessions, candidate deduction |
 //! | [`scenarios`] | `abbd-scenarios` | fault-mode library, stimulus families, noise-calibrated fits |
 //! | [`designs`] | `abbd-designs` | the paper's two reference circuits, end to end |
 //! | [`baselines`] | `abbd-baselines` | fault dictionary, naive Bayes, random floor |

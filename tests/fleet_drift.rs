@@ -17,8 +17,8 @@
 use abbd::bbn::learn::EmConfig;
 use abbd::core::conformance::{self, self_references, ReplayCase};
 use abbd::core::{
-    compile_candidate, DiagnosticEngine, GateRejection, LearnAlgorithm, ModelBuilder,
-    ModelLifecycle, Observation, RefitPolicy,
+    compile_candidate, CompiledModel, GateRejection, LearnAlgorithm, ModelBuilder, ModelLifecycle,
+    Observation, RefitPolicy,
 };
 use abbd::designs::regulator::{self, drift};
 use std::sync::Arc;
@@ -82,7 +82,7 @@ fn drifted_fleet_refit_recovers_isolation_accuracy() {
 
     // The bring-up snapshot: fitted on the nominal defect mix.
     let stale = regulator::fit(24, 42, quick_em()).expect("stale fit");
-    let stale_compiled = Arc::clone(stale.engine.compiled());
+    let stale_compiled = Arc::clone(&stale.engine);
 
     // The fleet drifts: a process excursion floods the returns with
     // `sw` driver defects. One population feeds the aggregator, a
@@ -105,8 +105,8 @@ fn drifted_fleet_refit_recovers_isolation_accuracy() {
         .with_expert(rig.expert.clone())
         .learn(&train.cases, quick_em())
         .expect("fresh fit");
-    let fresh = DiagnosticEngine::new(fresh_model).expect("fresh engine");
-    let fresh_acc = drift::isolation_accuracy(fresh.compiled(), &eval.cases);
+    let fresh = CompiledModel::compile(fresh_model).expect("fresh model compiles");
+    let fresh_acc = drift::isolation_accuracy(&fresh, &eval.cases);
 
     // The lifecycle: stale model active, evidence-determined case
     // studies as conformance references, drifted traces aggregated with
@@ -202,7 +202,7 @@ fn drifted_fleet_refit_recovers_isolation_accuracy() {
 fn corrupted_candidate_never_serves() {
     let rig = regulator::rig();
     let stale = regulator::fit(24, 42, quick_em()).expect("stale fit");
-    let stale_compiled = Arc::clone(stale.engine.compiled());
+    let stale_compiled = Arc::clone(&stale.engine);
     let references =
         self_references(&stale_compiled, reference_scenarios()).expect("reference corpus");
     let lc = ModelLifecycle::new(

@@ -19,8 +19,8 @@
 //! then review the diff like any other code change.
 
 use abbd::core::{
-    CostModel, DecisionTrace, DiagnosisSession, DiagnosticEngine, GoldenCorpus,
-    HierarchicalSession, HierarchicalTrace, StoppingPolicy, Strategy,
+    CompiledModel, CostModel, DecisionTrace, DiagnosisSession, GoldenCorpus, HierarchicalSession,
+    HierarchicalTrace, StoppingPolicy, Strategy,
 };
 use abbd::designs::board::{self, BoardConfig};
 use abbd::designs::regulator::adaptive::{
@@ -53,7 +53,7 @@ fn strategies() -> [(&'static str, Strategy, CostModel); 3] {
     ]
 }
 
-fn engine() -> DiagnosticEngine {
+fn regulator_model() -> Arc<CompiledModel> {
     // The same quick EM fit the adaptive scenario tests pin their
     // assertions on: deterministic for the fixed seed.
     regulator::fit(
@@ -79,7 +79,7 @@ fn corpus() -> GoldenCorpus {
 #[test]
 fn golden_traces_replay_exactly() {
     let corpus = corpus();
-    let engine = engine();
+    let model = regulator_model();
     let policy = StoppingPolicy::default();
     let mut mismatches: Vec<String> = Vec::new();
 
@@ -90,7 +90,7 @@ fn golden_traces_replay_exactly() {
         let mut per_case = Vec::new();
         for (tag, strategy, cost) in strategies() {
             let (outcome, trace) =
-                traced_case_study(&engine, case, policy, strategy, cost).expect("case study runs");
+                traced_case_study(&model, case, policy, strategy, cost).expect("case study runs");
             per_case.push(outcome.tests_used());
             let mut rendered = serde_json::to_string_pretty(&trace).expect("traces serialise");
             rendered.push('\n');
@@ -123,7 +123,7 @@ fn golden_traces_replay_exactly() {
     let mut switches = Vec::new();
     for (tag, strategy, _) in strategies() {
         let run =
-            cross_suite_population(&engine, 16, 2024, policy, strategy, &reference_cost_model())
+            cross_suite_population(&model, 16, 2024, policy, strategy, &reference_cost_model())
                 .expect("population scenario runs");
         assert!(
             run.skipped.is_empty(),

@@ -111,10 +111,10 @@ fn bbn_beats_random_floor() {
 /// the root tests do not depend on the bench crate.
 mod abbd_bench_adapter {
     use abbd::baselines::{DeviceSignature, Diagnoser, Ranking};
-    use abbd::core::{DiagnosticEngine, Observation};
+    use abbd::core::{CompiledModel, Observation};
     use abbd::designs::regulator::program::{suite_plans, OBSERVED_VARS};
 
-    pub struct BbnAdapter<'a>(pub &'a DiagnosticEngine);
+    pub struct BbnAdapter<'a>(pub &'a CompiledModel);
 
     impl Diagnoser for BbnAdapter<'_> {
         fn name(&self) -> &str {
@@ -203,11 +203,8 @@ fn probe_ranking_targets_the_ambiguous_pair() {
 
     let fitted = regulator::fit(70, 2010, regulator::default_algorithm()).expect("pipeline runs");
     let d1 = &regulator::cases::case_studies()[0];
-    let mut session = DiagnosisSession::new(
-        Arc::clone(fitted.engine.compiled()),
-        StoppingPolicy::default(),
-    )
-    .expect("session opens");
+    let mut session = DiagnosisSession::new(Arc::clone(&fitted.engine), StoppingPolicy::default())
+        .expect("session opens");
     session.observe_all(&d1.observation()).expect("seeds");
     let latents: Vec<Action> = session
         .compiled()
@@ -413,7 +410,7 @@ fn deduction_matches_the_variable_elimination_oracle() {
         .map(|case| case.observation())
         .collect();
     observations.extend(fitted.cases.iter().map(Observation::from));
-    let (compared, worst) = check_deduction_against_oracle(fitted.engine.compiled(), &observations);
+    let (compared, worst) = check_deduction_against_oracle(&fitted.engine, &observations);
     println!("regulator: {compared} values, worst difference {worst:e}");
     assert!(
         compared >= 2 * observations.len(),
@@ -503,7 +500,7 @@ fn propagated_ancestor_fault_probability(
 #[test]
 fn exoneration_is_bitwise_the_full_propagation_query() {
     let fitted = regulator::fit(70, 2010, regulator::default_algorithm()).expect("pipeline runs");
-    let compiled = fitted.engine.compiled();
+    let compiled = &fitted.engine;
     let cases = regulator::cases::case_studies();
     let mut observations: Vec<Observation> = cases.iter().map(|c| c.observation()).collect();
     let rig = regulator::rig();

@@ -34,7 +34,7 @@ fn serving_regulator() -> Arc<CompiledModel> {
         tolerance: 1e-4,
     });
     let fitted = regulator::fit(24, 42, algorithm).expect("regulator pipeline runs");
-    Arc::clone(fitted.engine.compiled())
+    Arc::clone(&fitted.engine)
 }
 
 /// Skipped-outcome floor of the scorer (the same 1e-12 the kernel uses).
