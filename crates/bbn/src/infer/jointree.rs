@@ -2207,6 +2207,11 @@ mod tests {
         // Observed variables carry zero entropy.
         assert_eq!(view.posterior_entropy(v6).unwrap(), 0.0);
         assert!(view.posterior_entropy(VarId::from_index(99)).is_err());
+        // Wrong-length buffers are rejected.
+        assert!(matches!(
+            view.posterior_into(v1, &mut vec![0.0; net.card(v1) + 1]),
+            Err(Error::ShapeMismatch { .. })
+        ));
         assert!(matches!(
             view.family_marginal(VarId::from_index(99)),
             Err(Error::UnknownVariable(_))

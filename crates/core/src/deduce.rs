@@ -359,7 +359,7 @@ fn any_faulty<'a>(
 /// Runs the deduction over per-latent fault masses.
 ///
 /// * `fault_mass` maps every latent variable to its posterior fault-state
-///   mass (computed by the diagnostic engine), and `classes` maps it to
+///   mass (computed by the diagnosis kernel), and `classes` maps it to
 ///   its [`DeductionPolicy::classify`] class.
 /// * `failing_observables` lists observable variables whose source
 ///   measurement failed its ATE limits — candidates of last resort.

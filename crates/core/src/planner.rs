@@ -354,7 +354,7 @@ struct Level {
 /// default [`DEFAULT_LOOKAHEAD_DISCOUNT`] keeps one follow-up level
 /// worth at most half an immediate nat.
 ///
-/// All propagations run through the engine's compiled junction tree with
+/// All propagations run through the model's compiled junction tree with
 /// one preallocated workspace per recursion level
 /// ([`abbd_bbn::JunctionTree::propagate_hypotheticals_in`] stacks the
 /// outcome path as hypothetical findings without touching the evidence
